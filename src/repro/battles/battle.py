@@ -42,6 +42,7 @@ from repro.experiments.store import (
     STORE_FORMAT_VERSION,
     algorithm_identity,
 )
+from repro.offline.lp import lp_backend
 
 __all__ = [
     "Battle",
@@ -320,11 +321,12 @@ def battle_key(
     A SHA-256 over every input that determines the round's result: the store
     format version, the escalator's name and declared ``cache_identity``, the
     algorithm's :func:`~repro.experiments.store.algorithm_identity`, the
-    level, the battle seed, the trial count, the OPT estimation policy and
-    the exact-solver limit.  ``workers`` is deliberately excluded — a pure
-    wall-clock knob — and so is the engine *when it is exact*: the exact
-    engines agree trial for trial, so keying on them would only split the
-    cache between equal rounds.  A non-exact engine
+    level, the battle seed, the trial count, the OPT estimation policy, the
+    exact-solver limit and the LP backend
+    (:func:`~repro.offline.lp.lp_backend`).  ``workers`` is deliberately
+    excluded — a pure wall-clock knob — and so is the engine *when it is
+    exact*: the exact engines agree trial for trial, so keying on them would
+    only split the cache between equal rounds.  A non-exact engine
     (:data:`~repro.experiments.store.NONEXACT_ENGINES`, i.e. ``"fast"``)
     produces different bits under a statistical contract and therefore
     contributes an explicit engine tag, the same rule as
@@ -369,6 +371,7 @@ def battle_key(
         str(trials),
         opt_method,
         str(EXACT_SOLVER_SET_LIMIT),
+        lp_backend(),
         *engine_tag,
     ):
         digest.update(part.encode("utf-8"))

@@ -42,6 +42,7 @@ from repro.experiments.opt_cache import OptCache, default_opt_cache
 from repro.experiments.parallel import map_ordered, partition_trials, resolve_workers
 from repro.experiments.resilience import RetryPolicy, map_resilient
 from repro.offline.exact import solve_exact
+from repro.offline.greedy_offline import greedy_offline_packing
 from repro.offline.local_search import local_search_packing
 from repro.offline.lp import lp_relaxation_bound
 
@@ -83,7 +84,15 @@ EXACT_SOLVER_SET_LIMIT = 60
 
 @dataclass(frozen=True)
 class OptEstimate:
-    """An estimate (or exact value / upper bound) of the offline optimum."""
+    """An estimate (or exact value / upper bound) of the offline optimum.
+
+    ``lower_bound`` is the weight of a feasible packing, so it never exceeds
+    ``value``: the optimum itself for exact solves, the branch-and-bound
+    incumbent when the search is truncated, the local-search packing for
+    ``method="local-search"``, and the greedy-by-weight packing
+    (:func:`~repro.offline.greedy_offline.greedy_offline_packing`) when the
+    value is the LP bound.
+    """
 
     value: float
     method: str
@@ -105,15 +114,17 @@ def estimate_opt(
 
     ``method`` is one of ``"auto"``, ``"exact"``, ``"lp"`` or ``"local-search"``.
     ``auto`` solves exactly up to ``exact_set_limit`` sets and otherwise
-    reports the LP bound (with a local-search lower bound attached so callers
-    can see how tight the relaxation is).
+    reports the LP bound, with the greedy-by-weight packing's weight as
+    ``lower_bound`` so callers can see how tight the relaxation is.  Rows
+    read only ``value``, so the LP path runs no local search.
 
     ``cache`` is an optional :class:`~repro.experiments.opt_cache.OptCache`:
     the estimate is keyed by the system's *content* fingerprint together with
-    ``(method, exact_set_limit)``, so repeated solves of equal systems —
-    across algorithms, sweep points or processes that regenerated the same
-    instance — are answered from the cache.  The returned ``OptEstimate`` is
-    immutable, so sharing the cached record is safe.
+    ``(method, exact_set_limit)`` and the LP backend, so repeated solves of
+    equal systems — across algorithms, sweep points or processes that
+    regenerated the same instance — are answered from the cache.  The
+    returned ``OptEstimate`` is immutable, so sharing the cached record is
+    safe.
     """
     if method not in ("auto", "exact", "lp", "local-search"):
         raise SolverError(f"unknown OPT estimation method {method!r}")
@@ -158,12 +169,11 @@ def _estimate_opt_uncached(
         )
 
     lp = lp_relaxation_bound(system)
-    heuristic = local_search_packing(system)
     return OptEstimate(
         value=lp.value,
         method=lp.method,
         is_exact=False,
-        lower_bound=heuristic.weight,
+        lower_bound=greedy_offline_packing(system).weight,
     )
 
 

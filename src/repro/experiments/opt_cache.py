@@ -34,6 +34,7 @@ from contextlib import contextmanager
 from typing import Callable, Optional, TypeVar
 
 from repro.core.set_system import SetSystem
+from repro.offline.lp import lp_backend
 
 __all__ = ["OptCache", "attached_store", "default_opt_cache", "system_fingerprint"]
 
@@ -74,8 +75,9 @@ class OptCache:
     ``hits`` / ``misses`` count lookups for tests and benchmark reports.
     The cache itself is value-agnostic — :func:`repro.experiments.competitive_ratio.estimate_opt`
     stores its ``OptEstimate`` records here under a key that includes the
-    estimation method and the exact-solver set limit, so estimates computed
-    under different policies never alias.
+    estimation method, the exact-solver set limit and the LP backend
+    (:func:`~repro.offline.lp.lp_backend`), so estimates computed under
+    different policies or backends never alias.
 
     ``store`` optionally attaches a persistent
     :class:`~repro.experiments.store.SolutionStore` as a read-through /
@@ -100,7 +102,7 @@ class OptCache:
 
     def key(self, system: SetSystem, method: str, exact_set_limit: int) -> str:
         """The cache key for one (system content, estimation policy) pair."""
-        return f"{system_fingerprint(system)}|{method}|{exact_set_limit}"
+        return f"{system_fingerprint(system)}|{method}|{exact_set_limit}|{lp_backend()}"
 
     def get_or_compute(self, key: str, compute: Callable[[], V]) -> V:
         """Return the cached value for ``key``, computing and storing on miss.

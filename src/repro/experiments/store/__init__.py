@@ -15,12 +15,13 @@ invocation answers the dominant offline solves (and, for full sweeps, whole
 
 **Keys are content hashes, not identities.**  An OPT entry is keyed by the
 set system's content fingerprint plus the estimation policy
-(``sha256(system)|method|exact_set_limit`` — see
-:func:`~repro.experiments.opt_cache.system_fingerprint`); a sweep-unit entry
-by :func:`unit_key`, a SHA-256 over the instance fingerprint (system content
+(``sha256(system)|method|exact_set_limit|lp_backend`` — see
+:func:`~repro.experiments.opt_cache.system_fingerprint` and
+:func:`~repro.offline.lp.lp_backend`); a sweep-unit entry by
+:func:`unit_key`, a SHA-256 over the instance fingerprint (system content
 + arrival order + name), the measurement seed, the trial count, the OPT
-policy, the ordered algorithm identities and — for non-exact engines only
-(:data:`NONEXACT_ENGINES`) — an engine tag.  A changed instance therefore
+policy, the LP backend, the ordered algorithm identities and — for
+non-exact engines only (:data:`NONEXACT_ENGINES`) — an engine tag.  A changed instance therefore
 *misses* — it can never silently reuse a stale solution — and every stored
 row carries a SHA-256 checksum of its payload, so a garbled row is detected,
 warned about and dropped instead of being deserialized.
@@ -49,7 +50,7 @@ store files, e.g. per-machine stores after a fleet run).
 The two module constants are part of the on-disk contract:
 
 >>> STORE_FORMAT_VERSION
-2
+3
 >>> STORE_ENV_VAR
 'OSP_STORE'
 """
@@ -68,6 +69,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.instance import OnlineInstance
 from repro.exceptions import StoreFileError
+from repro.offline.lp import lp_backend
 
 __all__ = [
     "STORE_FORMAT_VERSION",
@@ -94,8 +96,10 @@ __all__ = [
 #: different version is quarantined wholesale rather than partially reused.
 #: History: 1 → 2 when the key composition gained the non-exact engine tag
 #: (``engine="fast"`` results differ from exact-engine results, so the two
-#: may never share a row).
-STORE_FORMAT_VERSION = 2
+#: may never share a row); 2 → 3 when the OPT, unit and battle keys gained
+#: the LP backend and LP-bound OPT estimates started carrying the greedy
+#: packing's weight as ``lower_bound`` instead of the local search's.
+STORE_FORMAT_VERSION = 3
 
 #: Engines whose results are *statistically* equivalent to — but not
 #: bit-identical with — the exact engines.  These contribute an engine tag
@@ -236,7 +240,9 @@ def unit_key(
 
     The key is a SHA-256 over every input that determines the unit's result:
     the instance content fingerprint, the shared measurement seed, the trial
-    count, the OPT estimation policy and the *ordered* algorithm identities.
+    count, the OPT estimation policy, the LP backend
+    (:func:`~repro.offline.lp.lp_backend` — the HiGHS and dual-feasible
+    bounds give different OPT values) and the *ordered* algorithm identities.
     The worker count is deliberately excluded — parallelism is a wall-clock
     knob — and so is the engine *when it is exact*: the exact engines agree
     trial for trial, so keying on them would only split the cache between
@@ -285,6 +291,7 @@ def unit_key(
         str(trials),
         opt_method,
         str(exact_set_limit),
+        lp_backend(),
         *engine_tag,
         *identities,
     ):
@@ -618,8 +625,9 @@ class SolutionStore:
 
         Frontier keys come from :func:`repro.battles.battle_key`: a SHA-256
         over every input that determines the round's outcome (escalator
-        identity, algorithm identity, level, seed, trials, OPT policy), with
-        the same ``STORE_FORMAT_VERSION`` discipline as :func:`unit_key`.
+        identity, algorithm identity, level, seed, trials, OPT policy, LP
+        backend), with the same ``STORE_FORMAT_VERSION`` discipline as
+        :func:`unit_key`.
         """
         value = self._get("frontiers", key)
         if value is None:
@@ -1133,7 +1141,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     >>> store.close()
     >>> main(["inspect", path])                  # doctest: +ELLIPSIS
     solution store ...demo.sqlite
-      format version: 2
+      format version: 3
       opt entries:    1
       unit entries:   0
       construction entries: 0

@@ -7,7 +7,7 @@ from repro.offline.greedy_offline import (
     greedy_offline_packing,
 )
 from repro.offline.local_search import LocalSearchSolution, local_search_packing
-from repro.offline.lp import LpBound, dual_feasible_bound, lp_relaxation_bound
+from repro.offline.lp import LpBound, dual_feasible_bound, lp_backend, lp_relaxation_bound
 
 __all__ = [
     "ExactSolution",
@@ -19,5 +19,6 @@ __all__ = [
     "local_search_packing",
     "LpBound",
     "dual_feasible_bound",
+    "lp_backend",
     "lp_relaxation_bound",
 ]

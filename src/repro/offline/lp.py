@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from repro.core.set_system import ElementId, SetId, SetSystem
 from repro.exceptions import SolverError
 
-__all__ = ["LpBound", "lp_relaxation_bound", "dual_feasible_bound"]
+__all__ = ["LpBound", "lp_backend", "lp_relaxation_bound", "dual_feasible_bound"]
 
 try:  # pragma: no cover - exercised indirectly depending on environment
     from scipy.optimize import linprog as _linprog
@@ -30,6 +30,18 @@ except ImportError:  # pragma: no cover
     _linprog = None
     _lil_matrix = None
     _HAVE_SCIPY = False
+
+
+def lp_backend() -> str:
+    """The name of the backend :func:`lp_relaxation_bound` uses here.
+
+    ``"scipy-highs"`` when SciPy imports, ``"dual-feasible"`` otherwise — the
+    ``method`` of the :class:`LpBound` a default call returns on a non-empty
+    system, read from the import-time flag without solving anything.  The
+    two backends bound OPT differently, so every cache key over an OPT value
+    includes this name.
+    """
+    return "scipy-highs" if _HAVE_SCIPY else "dual-feasible"
 
 
 @dataclass(frozen=True)

@@ -582,10 +582,12 @@ class TestFormatStabilityAcrossEngineRewrites:
         # An engine rewrite that keeps results bit-identical — like the RNG
         # bridge — must leave both untouched.  History: 1 → 2 when the key
         # composition gained the non-exact engine tag (``engine="fast"``
-        # results enter the store under their own keys).
+        # results enter the store under their own keys); 2 → 3 when the
+        # OPT, unit and battle keys gained the LP backend and LP-bound OPT
+        # estimates started carrying the greedy packing as ``lower_bound``.
         from repro.experiments.store import STORE_FORMAT_VERSION
 
-        assert STORE_FORMAT_VERSION == 2
+        assert STORE_FORMAT_VERSION == 3
 
     def test_store_written_by_reference_engine_warms_bridge_engine(self, tmp_path):
         """Unit keys exclude the engine, and the engines agree bit for bit:
