@@ -35,6 +35,8 @@ which shrinks the sweep, checks the bit-identity contract at workers
 
 import argparse
 import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from repro.algorithms import (
     FirstListedAlgorithm,
@@ -44,7 +46,16 @@ from repro.algorithms import (
     UnweightedPriorityAlgorithm,
 )
 from repro.engine import clear_compile_cache
-from repro.experiments import default_opt_cache, format_table, run_sweep, workers_from_env
+from repro.experiments import (
+    SweepResult,
+    build_sweep_units,
+    default_opt_cache,
+    format_table,
+    run_sweep,
+    workers_from_env,
+)
+from repro.experiments.harness import _merge_point
+from repro.experiments.orchestrator import _execute_unit
 from repro.workloads import random_online_instance
 
 #: The standard sweep: 200-set instances at three contention levels.
@@ -182,20 +193,46 @@ def test_e16_sweep_parallel_speedup(run_once, experiment_report):
 
 
 #: Fault-free supervision overhead budget: the resilient pool may cost at
-#: most 5% over ``map_ordered`` (plus a small absolute grace for timer noise
-#: on shared CI runners).
+#: most 5% over a plain ``ProcessPoolExecutor.map`` (plus a small absolute
+#: grace for timer noise on shared CI runners).
 RESILIENT_OVERHEAD_FACTOR = 1.05
 RESILIENT_OVERHEAD_GRACE_SECONDS = 0.25
+
+
+def _plain_pool_sweep(points, workers, instances_per_point, trials):
+    """The unsupervised baseline: ``ProcessPoolExecutor.map`` over the units.
+
+    Maps the same ``_execute_unit`` partial ``run_sweep`` hands its executor
+    and merges with the same per-point arithmetic, so its rows must equal
+    the supervised sweep's.
+    """
+    algorithms = list(ALGORITHMS)
+    units = build_sweep_units(points, instances_per_point, SEED)
+    task = partial(
+        _execute_unit,
+        algorithms=algorithms,
+        trials=trials,
+        opt_method="auto",
+        engine="auto",
+    )
+    with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
+        results = list(pool.map(task, units))
+    sweep = SweepResult(name="E16 sweep")
+    for point_index, (label, _factory) in enumerate(points):
+        point_results = [r for r in results if r.point_index == point_index]
+        _merge_point(label, point_results, algorithms, sweep)
+    return sweep
 
 
 def _resilient_overhead_probe(points, workers=2, repeats=3):
     """Best-of-N timing: supervised vs. plain pool on a fault-free sweep.
 
     The supervised pool must be a free upgrade when nothing fails — same
-    rows, and wall clock within :data:`RESILIENT_OVERHEAD_FACTOR` of
-    ``map_ordered`` (its event loop ticks instead of blocking on ``pool.map``,
-    which is where any overhead would come from).  Best-of-N damps scheduler
-    noise; an absolute grace keeps the check meaningful on tiny baselines.
+    rows, and wall clock within :data:`RESILIENT_OVERHEAD_FACTOR` of a plain
+    ``ProcessPoolExecutor.map`` (its event loop ticks instead of blocking on
+    ``pool.map``, which is where any overhead would come from).  Best-of-N
+    damps scheduler noise; an absolute grace keeps the check meaningful on
+    tiny baselines.
     """
     from repro.experiments import RetryPolicy
 
@@ -203,16 +240,18 @@ def _resilient_overhead_probe(points, workers=2, repeats=3):
     plain_best = resilient_best = float("inf")
     plain_rows = resilient_rows = None
     for _ in range(repeats):
-        plain, plain_seconds = _run_configuration(points, workers, "auto", 2, 20)
-        plain_best = min(plain_best, plain_seconds)
-        plain_rows = plain.rows
+        default_opt_cache().clear()
+        clear_compile_cache()
+        start = time.perf_counter()
+        plain_rows = _plain_pool_sweep(points, workers, 2, 20).rows
+        plain_best = min(plain_best, time.perf_counter() - start)
     for _ in range(repeats):
         default_opt_cache().clear()
         clear_compile_cache()
         start = time.perf_counter()
         resilient = run_sweep(
             "E16 sweep",
-            _points(40, (100, 60)),
+            points,
             list(ALGORITHMS),
             instances_per_point=2,
             trials_per_instance=20,
@@ -228,7 +267,7 @@ def _resilient_overhead_probe(points, workers=2, repeats=3):
     budget = plain_best * RESILIENT_OVERHEAD_FACTOR + RESILIENT_OVERHEAD_GRACE_SECONDS
     print(
         f"resilient overhead probe (workers={workers}, best of {repeats}): "
-        f"plain {plain_best:.2f}s, supervised {resilient_best:.2f}s, "
+        f"plain pool {plain_best:.2f}s, supervised {resilient_best:.2f}s, "
         f"budget {budget:.2f}s"
     )
     assert resilient_best <= budget, (

@@ -28,6 +28,7 @@ from repro.battles.match import (
 )
 from repro.battles.escalators import default_escalator_suite
 from repro.experiments.competitive_ratio import ENGINE_CHOICES
+from repro.experiments.parallel import parse_workers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, default=SMOKE_TRIALS)
     parser.add_argument("--seed", type=int, default=SMOKE_SEED)
     parser.add_argument("--max-rounds", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=parse_workers, default=1, metavar="N|auto")
     parser.add_argument("--engine", choices=ENGINE_CHOICES, default="auto")
     parser.add_argument(
         "--store",

@@ -258,10 +258,15 @@ def simulate_fast(
         # Negate so that "smallest key wins" with stable column tie-breaks —
         # the same deterministic tie order as the exact engines.
         completed[start:stop] = _run_static(fast, -priorities)
-    # Float64 accumulation: one matmul against the float64 weights, so the
-    # per-trial benefit (and hence every mean) is as accurate as the exact
-    # engine's, even though the priorities were float32.
-    benefits = completed @ fast.weights
+    # Float64 accumulation against the float64 weights, so the per-trial
+    # benefit (and hence every mean) is as accurate as the exact engine's,
+    # even though the priorities were float32.  The running sum adds one set
+    # column at a time, in set-index order: a matmul's order depends on the
+    # BLAS build and moves benefits by an ulp.
+    benefits = np.zeros(trials)
+    columns = np.ascontiguousarray(completed.T)
+    for column, weight in zip(columns, fast.weights.tolist()):
+        benefits += column * weight
     counts = completed.sum(axis=1, dtype=np.int64)
     return BatchResult(
         algorithm_name=spec.name,

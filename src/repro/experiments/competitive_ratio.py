@@ -33,13 +33,9 @@ def _trace_or_none(instance) -> "Optional[Trace]":
     from repro.network.traffic import Trace
 
     return instance if isinstance(instance, Trace) else None
-from repro.exceptions import (
-    MeasurementFailedError,
-    SolverError,
-    UnsupportedAlgorithmError,
-)
+from repro.exceptions import SolverError, UnsupportedAlgorithmError
 from repro.experiments.opt_cache import OptCache, default_opt_cache
-from repro.experiments.parallel import map_ordered, partition_trials, resolve_workers
+from repro.experiments.parallel import partition_trials, resolve_workers
 from repro.experiments.resilience import RetryPolicy, map_resilient
 from repro.offline.exact import solve_exact
 from repro.offline.greedy_offline import greedy_offline_packing
@@ -290,11 +286,13 @@ def simulation_benefits(
     its numbers agree statistically (``tests/test_engine_fast_equivalence.py``)
     but not bit for bit, which is why it is opt-in everywhere.
 
-    ``policy`` routes the chunk fan-out through the supervised pool of
-    :func:`~repro.experiments.resilience.map_resilient` (crash recovery,
-    retry with deterministic backoff).  Unlike a sweep, a measurement cannot
-    *quarantine* a chunk — dropping trials would change the benefit
-    sequence — so a chunk that exhausts its retry budget raises
+    The chunks fan out through
+    :func:`~repro.experiments.resilience.map_resilient`: without a
+    ``policy`` the first failure propagates; with one, the fan-out is
+    supervised (crash recovery, retry with deterministic backoff).  Unlike
+    a sweep, a measurement cannot *quarantine* a chunk — dropping trials
+    would change the benefit sequence — so a chunk that exhausts its retry
+    budget raises
     :class:`~repro.exceptions.MeasurementFailedError`.  Retried chunks
     recompute the same bits, so the policy too is a runtime-only knob.
     """
@@ -311,30 +309,19 @@ def simulation_benefits(
         engine=engine,
         trace=trace,
     )
-    if workers == 1 and policy is None:
-        return task((0, trials))
     chunks = partition_trials(trials, workers)
-    benefits: List[float] = []
-    if policy is not None:
-        outcome = map_resilient(
-            task,
-            chunks,
-            workers=workers,
-            policy=policy,
-            labels=[f"trials[{offset}:{offset + count}]" for offset, count in chunks],
-        )
-        if outcome.failures:
-            raise MeasurementFailedError(
-                f"{len(outcome.failures)} trial chunk(s) failed after retries: "
-                + ", ".join(report.label for report in outcome.failures),
-                failures=outcome.failures,
-            )
-        for chunk_benefits in outcome.results:
-            benefits.extend(chunk_benefits)
-        return benefits
-    for chunk_benefits in map_ordered(task, chunks, workers=workers):
-        benefits.extend(chunk_benefits)
-    return benefits
+    outcome = map_resilient(
+        task,
+        chunks,
+        workers=workers,
+        policy=policy,
+        labels=[f"trials[{offset}:{offset + count}]" for offset, count in chunks],
+    )
+    return [
+        benefit
+        for chunk_benefits in outcome.complete("trial chunk")
+        for benefit in chunk_benefits
+    ]
 
 
 def measure_ratio(
@@ -440,24 +427,13 @@ def measure_suite(
         opt=opt,
         engine=engine,
     )
-    if policy is not None:
-        outcome = map_resilient(
-            task,
-            list(algorithms),
-            workers=workers,
-            policy=policy,
-            labels=[algorithm.name for algorithm in algorithms],
-        )
-        if outcome.failures:
-            raise MeasurementFailedError(
-                f"{len(outcome.failures)} suite measurement(s) failed after "
-                "retries: "
-                + ", ".join(report.label for report in outcome.failures),
-                failures=outcome.failures,
-            )
-        measurements = outcome.results
-    else:
-        measurements = map_ordered(task, list(algorithms), workers=workers)
+    measurements = map_resilient(
+        task,
+        list(algorithms),
+        workers=workers,
+        policy=policy,
+        labels=[algorithm.name for algorithm in algorithms],
+    ).complete("suite measurement")
     return {
         measurement.algorithm_name: measurement for measurement in measurements
     }

@@ -74,9 +74,13 @@ from repro.experiments.orchestrator import (
     build_sweep_units,
     run_units_resilient,
 )
-from repro.experiments.parallel import resolve_workers
+from repro.experiments.parallel import parse_workers, resolve_workers
 from repro.experiments.report import format_table
-from repro.experiments.resilience import FailureReport, RetryPolicy
+from repro.experiments.resilience import (
+    FailureReport,
+    RetryPolicy,
+    policy_from_options,
+)
 from repro.experiments.store import (
     LEASE_DEFAULT_TTL,
     STORE_FORMAT_VERSION,
@@ -472,6 +476,10 @@ def work(
     table, races between hosts) duplicates wall clock, and the
     content-addressed first-writer-wins store makes the bits converge.
 
+    A fabric worker is always supervised: ``policy=None`` means the
+    default :class:`~repro.experiments.resilience.RetryPolicy`, never
+    fail-fast, so a poison unit is quarantined into the report.
+
     ``max_wait`` bounds the total time spent polling on peers (``None``:
     wait indefinitely); on timeout the worker returns with the remaining
     units unfinished — the reducer's completeness check will name them.
@@ -514,7 +522,7 @@ def work(
                         report.stolen += 1
                     claimed.append((index, unit, key))
             if claimed:
-                results, failures = run_units_resilient(
+                outcome = run_units_resilient(
                     [unit for _, unit, _ in claimed],
                     algorithms,
                     trials=spec.trials_per_instance,
@@ -522,16 +530,16 @@ def work(
                     engine=spec.engine,
                     workers=workers,
                     store=str(shard_path),
-                    policy=policy,
+                    policy=policy or RetryPolicy(),
                 )
-                for (index, unit, key), result in zip(claimed, results):
+                for (index, unit, key), result in zip(claimed, outcome.results):
                     if result is None:
                         continue
                     coordination.put_unit(key, result)
                     coordination.release_lease(key, report.owner)
                     report.computed += 1
                     del remaining[index]
-                for failure in failures:
+                for failure in outcome.failures:
                     index, unit, key = claimed[failure.index]
                     coordination.release_lease(key, report.owner)
                     report.failures.append(failure)
@@ -651,18 +659,6 @@ def _print_result(result: SweepResult) -> None:
     print(format_table(rows, columns=list(rows[0]), title=result.name))
 
 
-def _parse_workers(value: "int | str") -> "int | str":
-    """Normalize a ``--workers`` CLI value: ``'auto'`` or a positive int."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise FabricError(
-            f"--workers must be an integer or 'auto', got {value!r}"
-        )
-
-
 def _cli_plan(args) -> int:
     spec = FABRIC_SPECS[args.spec]
     if args.seed is not None or args.trials is not None or args.engine is not None:
@@ -685,20 +681,15 @@ def _cli_plan(args) -> int:
 
 def _cli_work(args) -> int:
     manifest = load_manifest(args.manifest)
-    policy = None
-    if args.max_attempts is not None or args.unit_timeout is not None:
-        policy = RetryPolicy(
-            max_attempts=args.max_attempts or 3, timeout=args.unit_timeout
-        )
     coordination = args.coord or default_coordination_path(args.manifest)
     started = time.perf_counter()
     report = work(
         manifest,
         args.store,
         coordination_path=coordination,
-        workers=_parse_workers(args.workers),
+        workers=args.workers,
         lease_ttl=args.lease_ttl,
-        policy=policy,
+        policy=policy_from_options(args.max_attempts, args.unit_timeout),
         max_wait=args.max_wait,
     )
     elapsed = time.perf_counter() - started
@@ -743,7 +734,7 @@ def _cli_reduce(args) -> int:
 
 def _cli_rows(args) -> int:
     manifest = load_manifest(args.manifest)
-    result = single_host_result(manifest, workers=_parse_workers(args.workers))
+    result = single_host_result(manifest, workers=args.workers)
     if args.rows:
         _write_rows(result, args.rows)
         print(f"rows written to {os.path.abspath(args.rows)}")
@@ -797,7 +788,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="coordination store (default: <manifest>.coord.sqlite)",
     )
     work_parser.add_argument(
-        "--workers", default="1", metavar="N|auto",
+        "--workers", type=parse_workers, default=1, metavar="N|auto",
         help="worker processes for claimed units (wall-clock knob)",
     )
     work_parser.add_argument(
@@ -846,7 +837,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--rows", default=None, metavar="PATH", help="write rows as canonical JSON"
     )
     rows_parser.add_argument(
-        "--workers", default="1", metavar="N|auto",
+        "--workers", type=parse_workers, default=1, metavar="N|auto",
         help="worker processes (wall-clock knob; rows are identical)",
     )
     rows_parser.set_defaults(handler=_cli_rows)

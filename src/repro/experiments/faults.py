@@ -266,8 +266,11 @@ def maybe_inject(unit: int, attempt: int, stage: str = "start") -> None:
     """Fire every installed fault addressed to ``(unit, attempt, stage)``.
 
     Called by :func:`repro.experiments.resilience.map_resilient` around each
-    unit attempt, in whichever process executes it.  With no plan installed
-    this is a single environment read.
+    *supervised* unit attempt (a ``RetryPolicy`` was given), in whichever
+    process executes it.  Fail-fast maps (``policy=None``) never call it, so
+    a nested fail-fast map inside a faulted unit cannot re-fire the parent's
+    ``(unit, attempt)`` coordinates.  With no plan installed this is a
+    single environment read.
 
     >>> FaultPlan.uninstall()
     >>> maybe_inject(0, 1)          # no plan: nothing happens

@@ -25,7 +25,6 @@ from repro.experiments.orchestrator import (
     InstanceFactory,
     SweepUnitResult,
     build_sweep_units,
-    run_units,
     run_units_resilient,
 )
 from repro.experiments.resilience import FailureReport, RetryPolicy
@@ -233,7 +232,8 @@ def run_sweep(
         baselines).  A third runtime-only knob: rows are bit-identical with
         the store on, off, warm or cold.
     policy:
-        Optional :class:`~repro.experiments.resilience.RetryPolicy`.  When
+        Optional :class:`~repro.experiments.resilience.RetryPolicy`.
+        Without one, the first failing unit's exception propagates.  When
         set, units execute under the supervised pool of
         :func:`~repro.experiments.orchestrator.run_units_resilient`: worker
         crashes rebuild the pool and requeue only the lost units, transient
@@ -259,33 +259,20 @@ def run_sweep(
             "default) or False (force off)"
         )
     units = build_sweep_units(parameter_points, instances_per_point, seed)
-    failures: List[FailureReport] = []
-    if policy is not None:
-        maybe_results, failures = run_units_resilient(
-            units,
-            algorithms,
-            trials=trials_per_instance,
-            opt_method=opt_method,
-            engine=engine,
-            workers=workers,
-            store=store,
-            policy=policy,
-            lease_ttl=lease_ttl,
-        )
-        results = [result for result in maybe_results if result is not None]
-    else:
-        results = run_units(
-            units,
-            algorithms,
-            trials=trials_per_instance,
-            opt_method=opt_method,
-            engine=engine,
-            workers=workers,
-            store=store,
-            lease_ttl=lease_ttl,
-        )
+    outcome = run_units_resilient(
+        units,
+        algorithms,
+        trials=trials_per_instance,
+        opt_method=opt_method,
+        engine=engine,
+        workers=workers,
+        store=store,
+        policy=policy,
+        lease_ttl=lease_ttl,
+    )
+    results = [result for result in outcome.results if result is not None]
 
-    sweep = SweepResult(name=name, failures=failures)
+    sweep = SweepResult(name=name, failures=list(outcome.failures))
     for point_index, (label, _factory) in enumerate(parameter_points):
         point_results = [
             result for result in results if result.point_index == point_index

@@ -11,14 +11,17 @@ explicit, in the PRAM style of the related parallel-algorithms literature:
    place pins the RNG stream — and wraps each ``(point, instance)`` pair in
    a self-contained, picklable :class:`SweepUnit`.
 2. **Execute** (:func:`run_units`): the units are mapped over a process pool
-   (:func:`~repro.experiments.parallel.map_ordered`; ``workers=1`` stays
-   in-process).  Each worker solves OPT through its per-process
+   by the package's one executor,
+   :func:`~repro.experiments.resilience.map_resilient` (``workers=1`` stays
+   in-process; without a retry policy the first failure propagates).  Each
+   worker solves OPT through its per-process
    :func:`~repro.experiments.opt_cache.default_opt_cache`, compiles the
    instance once through the engine's compile cache, and measures every
    algorithm on it.
-3. **Merge** (:func:`merge_sweep`): unit results come back aligned with the
-   submission order, and the merge aggregates them point by point with the
-   same float arithmetic — the same summation order — as the serial loop.
+3. **Merge** (:func:`~repro.experiments.harness.run_sweep`): unit results
+   come back aligned with the submission order, and the merge aggregates
+   them point by point with the same float arithmetic — the same summation
+   order — as the serial loop.
 
 **Determinism contract:** for fixed inputs, ``run_sweep(..., workers=n)``
 returns *bit-identical* rows for every ``n``.  Per-unit seeds are derived
@@ -52,15 +55,13 @@ from repro.experiments.competitive_ratio import (
     validate_engine,
 )
 from repro.experiments.opt_cache import attached_store, default_opt_cache
-from repro.experiments.parallel import map_ordered, resolve_workers, stable_seed
+from repro.experiments.parallel import resolve_workers, stable_seed
 from repro.experiments.resilience import (
-    FailureReport,
     ResilientMapResult,
     RetryPolicy,
     map_resilient,
 )
 from repro.experiments.store import store_for_path, unit_key
-from repro.exceptions import MeasurementFailedError
 
 if TYPE_CHECKING:  # repro.network imports the experiment layer back
     from repro.network.traffic import Trace
@@ -354,8 +355,9 @@ def run_units(
     """Execute the work units across ``workers`` processes, in unit order.
 
     The returned list is aligned with ``units`` regardless of which worker
-    finished first (``map_ordered`` guarantees submission-order results), so
-    downstream merging is deterministic.  A unit that raises — a protocol
+    finished first (:func:`~repro.experiments.resilience.map_resilient`
+    returns submission-order results), so downstream merging is
+    deterministic.  Without a ``policy``, a unit that raises — a protocol
     violation, a solver error — propagates its original exception to the
     caller, from worker processes included.
 
@@ -384,45 +386,23 @@ def run_units(
     >>> results[0].measurements[0].algorithm_name
     'greedy-weight'
 
-    With ``policy`` set, execution routes through the supervised
-    :func:`~repro.experiments.resilience.map_resilient` pool instead — but
-    this entry point still promises a *complete* result list, so any unit
-    that exhausts its retry budget raises
-    :class:`~repro.exceptions.MeasurementFailedError` (callers that want to
-    keep the healthy units use :func:`run_units_resilient`).
+    With ``policy`` set, the units run supervised — but this entry point
+    still promises a *complete* result list, so any unit that exhausts its
+    retry budget raises :class:`~repro.exceptions.MeasurementFailedError`
+    (callers that want to keep the healthy units use
+    :func:`run_units_resilient`).
     """
-    if policy is not None:
-        outcome = run_units_resilient(
-            units,
-            algorithms,
-            trials,
-            opt_method=opt_method,
-            engine=engine,
-            workers=workers,
-            store=store,
-            policy=policy,
-            lease_ttl=lease_ttl,
-        )
-        results, failures = outcome
-        if failures:
-            raise MeasurementFailedError(
-                f"{len(failures)} sweep unit(s) failed after retries: "
-                + ", ".join(report.label for report in failures),
-                failures=failures,
-            )
-        return [result for result in results if result is not None]
-    validate_engine(engine)
-    resolve_workers(workers)
-    task = partial(
-        _execute_unit,
-        algorithms=list(algorithms),
-        trials=trials,
+    return run_units_resilient(
+        units,
+        algorithms,
+        trials,
         opt_method=opt_method,
         engine=engine,
-        store_path=str(store) if store is not None else None,
+        workers=workers,
+        store=store,
+        policy=policy,
         lease_ttl=lease_ttl,
-    )
-    return map_ordered(task, list(units), workers=workers)
+    ).complete("sweep unit")
 
 
 def run_units_resilient(
@@ -435,18 +415,19 @@ def run_units_resilient(
     store: Optional[str] = None,
     policy: Optional[RetryPolicy] = None,
     lease_ttl: float = 0.0,
-) -> Tuple[List[Optional[SweepUnitResult]], List[FailureReport]]:
-    """Execute the units under a supervised, fault-tolerant process pool.
+) -> ResilientMapResult:
+    """Execute the units, keeping the healthy ones when some fail.
 
-    Like :func:`run_units`, but routed through
-    :func:`~repro.experiments.resilience.map_resilient`: worker crashes
-    rebuild the pool and requeue only the lost units, transient exceptions
-    retry with deterministic backoff, and a unit that fails
-    ``policy.max_attempts`` times is *quarantined* rather than sinking the
-    sweep.  Returns ``(results, failures)`` where ``results`` is aligned
-    with ``units`` (``None`` at quarantined slots) and ``failures`` carries
-    one structured :class:`~repro.experiments.resilience.FailureReport` per
-    quarantined unit.
+    Like :func:`run_units`, but returns the
+    :class:`~repro.experiments.resilience.ResilientMapResult` itself:
+    ``results`` is aligned with ``units`` (``None`` at quarantined slots)
+    and ``failures`` carries one structured
+    :class:`~repro.experiments.resilience.FailureReport` per quarantined
+    unit.  Under a ``policy``, worker crashes rebuild the pool and requeue
+    only the lost units, transient exceptions retry with deterministic
+    backoff, and a unit that fails ``policy.max_attempts`` times is
+    *quarantined* rather than sinking the sweep.  Without one the map is
+    fail-fast, so nothing is ever quarantined.
 
     Because every unit is a pure function of its content (seeds derive from
     :func:`~repro.experiments.parallel.stable_seed`, never from wall clock
@@ -459,20 +440,19 @@ def run_units_resilient(
 
     >>> from repro.algorithms import GreedyWeightAlgorithm
     >>> from repro.core import OnlineInstance, SetSystem
+    >>> from repro.experiments.resilience import RetryPolicy
     >>> system = SetSystem(sets={"A": ["u", "v"], "B": ["v", "w"]},
     ...                    weights={"A": 2.0, "B": 1.0})
     >>> units = build_sweep_units(
     ...     [("demo", lambda rng: OnlineInstance(system, name="demo"))],
     ...     instances_per_point=1, seed=0)
-    >>> results, failures = run_units_resilient(
-    ...     units, [GreedyWeightAlgorithm()], trials=2)
-    >>> (len(results), failures)
+    >>> outcome = run_units_resilient(
+    ...     units, [GreedyWeightAlgorithm()], trials=2, policy=RetryPolicy())
+    >>> (len(outcome.results), outcome.failures)
     (1, [])
     """
     validate_engine(engine)
     resolve_workers(workers)
-    if policy is None:
-        policy = RetryPolicy()
     task = partial(
         _execute_unit,
         algorithms=list(algorithms),
@@ -485,7 +465,6 @@ def run_units_resilient(
     labels = [
         f"{unit.label}[instance {unit.instance_index}]" for unit in units
     ]
-    outcome: ResilientMapResult = map_resilient(
+    return map_resilient(
         task, list(units), workers=workers, policy=policy, labels=labels
     )
-    return list(outcome.results), list(outcome.failures)

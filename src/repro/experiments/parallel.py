@@ -1,19 +1,21 @@
-"""Process-pool primitives shared by the experiment orchestration layer.
+"""Worker-count and seeding primitives shared by the experiment layer.
 
 This is a *leaf* module (it imports nothing from the rest of the package) so
 that every experiment entry point — the sweep orchestrator, the measurement
-helpers, the confidence wrapper, the runner CLI — can share one process-pool
-vocabulary without import cycles.
+helpers, the confidence wrapper, the CLIs — can share one worker-count and
+seeding vocabulary without import cycles.
 
 Design rules, enforced here once:
 
-* **Deterministic merge order.**  :func:`map_ordered` always returns results
-  in submission order, whatever order the workers finished in, so a parallel
-  run assembles exactly the sequence a serial run would have produced.
-* **Serial fallback.**  ``workers=1`` never touches ``multiprocessing`` — the
-  map runs in-process, which keeps single-worker behaviour identical on
-  platforms where process pools are unavailable (and makes ``workers=1``
-  the bit-identical reference for the differential tests).
+* **One executor.**  Work units fan out through
+  :func:`~repro.experiments.resilience.map_resilient` only; it returns
+  results in submission order, whatever order the workers finished in, so a
+  parallel run assembles exactly the sequence a serial run would have
+  produced.  ``workers=1`` (or a single item) never touches
+  ``multiprocessing`` — the map runs in-process, which keeps single-worker
+  behaviour identical on platforms where process pools are unavailable
+  (and makes ``workers=1`` the bit-identical reference for the
+  differential tests).
 * **Stable seeding.**  :func:`stable_seed` replaces the fragile
   ``tuple.__hash__() & 0x7FFFFFFF`` idiom: tuple hashing is an implementation
   detail of the interpreter (and is randomized for strings), so seeds derived
@@ -25,20 +27,17 @@ Design rules, enforced here once:
 
 from __future__ import annotations
 
+import argparse
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Sequence, Tuple, TypeVar, Union
+from typing import List, Tuple, Union
 
 __all__ = [
     "stable_seed",
     "resolve_workers",
-    "map_ordered",
+    "parse_workers",
     "partition_trials",
     "workers_from_env",
 ]
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Separator for the canonical :func:`stable_seed` encoding.  An ASCII unit
 #: separator cannot appear in the decimal/str renderings being joined, so the
@@ -96,6 +95,29 @@ def resolve_workers(workers: Union[int, str]) -> int:
     return workers
 
 
+def parse_workers(value: str) -> Union[int, str]:
+    """The argparse ``type=`` of every ``--workers`` option: ``N`` or ``auto``.
+
+    Returns ``"auto"`` or a positive int, so the value passes straight to any
+    ``workers=`` parameter; anything else is a usage error (exit code 2).
+
+    >>> parse_workers("auto"), parse_workers("3")
+    ('auto', 3)
+    >>> parse_workers("two")
+    Traceback (most recent call last):
+    ...
+    argparse.ArgumentTypeError: workers must be a positive integer or 'auto', got 'two'
+    """
+    if value == "auto":
+        return value
+    try:
+        return resolve_workers(int(value))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"workers must be a positive integer or 'auto', got {value!r}"
+        ) from None
+
+
 def workers_from_env(name: str = "OSP_BENCH_WORKERS", default: int = 1) -> int:
     """Read a worker count from an environment variable (benchmark knob).
 
@@ -105,41 +127,10 @@ def workers_from_env(name: str = "OSP_BENCH_WORKERS", default: int = 1) -> int:
     import os
 
     raw = os.environ.get(name)
-    if raw is None:
-        return resolve_workers(default)
-    if raw.strip() == "auto":
-        return resolve_workers("auto")
     try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer or 'auto', got {raw!r}") from None
-    return resolve_workers(value)
-
-
-def map_ordered(
-    function: Callable[[T], R],
-    items: Sequence[T],
-    workers: Union[int, str] = 1,
-) -> List[R]:
-    """Apply ``function`` to every item, returning results in item order.
-
-    ``workers=1`` runs in-process (no pool, no pickling); ``workers>1`` fans
-    the items out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-    Either way the result list is aligned with ``items``, so callers can merge
-    deterministically.  A worker exception propagates to the caller (the pool
-    re-raises it during result iteration), preserving the original type.
-
-    ``function`` and the items must be picklable when ``workers > 1``; the
-    orchestrator keeps its work payloads to plain dataclasses for this
-    reason.
-    """
-    workers = resolve_workers(workers)
-    if workers == 1 or len(items) <= 1:
-        return [function(item) for item in items]
-    # No point forking more processes than there are items.
-    pool_size = min(workers, len(items))
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        return list(pool.map(function, items))
+        return resolve_workers(default if raw is None else parse_workers(raw.strip()))
+    except argparse.ArgumentTypeError as error:
+        raise ValueError(f"{name}: {error}") from None
 
 
 def partition_trials(trials: int, workers: int) -> List[Tuple[int, int]]:

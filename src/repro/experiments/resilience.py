@@ -1,13 +1,18 @@
-"""Fault-tolerant execution of independent work units: the supervised pool.
+"""Execution of independent work units: the package's one executor.
 
-:func:`~repro.experiments.parallel.map_ordered` is the right primitive when
-nothing fails: it is thin, deterministic and exact.  But one OOM-killed
-worker turns a whole sweep into a ``BrokenProcessPool`` crash, a transient
-exception aborts instead of retrying, and a hung unit stalls everything —
-there is no timeout.  This module adds the supervised variant,
-:func:`map_resilient`, which keeps the two properties that matter —
-**submission-order results** and **bit-identical values** — while surviving
-arbitrary fault schedules:
+Every fan-out in the package — trial chunks, suite members, sweep units,
+battles — goes through :func:`map_resilient`, which keeps the two
+properties that matter — **submission-order results** and **bit-identical
+values** — at any worker count.  What happens when a unit fails is the
+caller's ``policy``:
+
+* ``policy=None`` is **fail-fast**: one attempt per unit, and the first
+  failure re-raises its original exception (``BrokenProcessPool`` included)
+  in the caller, from pool workers as from the in-process map.  No
+  fault-injection hooks run.
+* A :class:`RetryPolicy` makes the map **supervised**.
+
+Under a policy the map survives arbitrary fault schedules:
 
 * **Worker crashes** (``BrokenProcessPool``): the pool is rebuilt and only
   the *lost in-flight* units are requeued; completed results are kept.
@@ -37,10 +42,12 @@ arbitrary fault schedules:
   remaining units — slower, but immune to pool pathology.
 
 Fault injection for the chaos tests lives in
-:mod:`repro.experiments.faults`; every attempt routes through
+:mod:`repro.experiments.faults`; every supervised attempt routes through
 :func:`~repro.experiments.faults.maybe_inject`, which is a no-op unless the
 ``OSP_FAULT_PLAN`` environment variable carries a plan (the env var is what
-crosses the process boundary into pool workers).
+crosses the process boundary into pool workers).  Fail-fast maps skip the
+hooks, so a nested fail-fast map inside a supervised unit never re-fires
+its parent's ``(unit, attempt)`` faults.
 
 >>> policy = RetryPolicy(max_attempts=2, backoff_base=0.0)
 >>> outcome = map_resilient(len, ["a", "bb", "ccc"], policy=policy)
@@ -60,6 +67,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.exceptions import MeasurementFailedError
 from repro.experiments import faults
 from repro.experiments.parallel import resolve_workers, stable_seed
 
@@ -69,6 +77,7 @@ __all__ = [
     "FailureReport",
     "ResilientMapResult",
     "map_resilient",
+    "policy_from_options",
 ]
 
 T = TypeVar("T")
@@ -134,6 +143,30 @@ class RetryPolicy:
         return base * (0.5 + 0.5 * jitter)
 
 
+def policy_from_options(
+    max_attempts: Optional[int], timeout: Optional[float]
+) -> Optional[RetryPolicy]:
+    """The policy the CLIs' ``--max-attempts`` / ``--unit-timeout`` ask for.
+
+    ``None`` (fail-fast) when both are omitted; otherwise a supervised
+    policy with ``max_attempts`` defaulting to 3.
+
+    >>> policy_from_options(None, None) is None
+    True
+    >>> policy_from_options(None, 30.0).max_attempts
+    3
+    """
+    if max_attempts is None and timeout is None:
+        return None
+    return RetryPolicy(max_attempts=max_attempts or 3, timeout=timeout)
+
+
+#: The pool loop's settings under ``policy=None``: one attempt, no timeout.
+#: Fail-fast maps re-raise before the attempt budget or the rebuild budget
+#: is ever consulted.
+_FAIL_FAST = RetryPolicy(max_attempts=1)
+
+
 @dataclass(frozen=True)
 class AttemptFailure:
     """One failed attempt of one unit: what went wrong, on which try.
@@ -195,9 +228,28 @@ class ResilientMapResult:
         """Whether every unit produced a result."""
         return not self.failures
 
+    def complete(self, what: str) -> List[object]:
+        """Every result, or :class:`~repro.exceptions.MeasurementFailedError`.
+
+        For callers whose output is complete or failed, never partial — a
+        benefit sequence, a suite, a sweep's unit list: any quarantined unit
+        raises with a message counting the failed ``what`` units by label, and
+        carries their reports.
+
+        >>> map_resilient(abs, [-1, 2]).complete("demo unit")
+        [1, 2]
+        """
+        if self.failures:
+            raise MeasurementFailedError(
+                f"{len(self.failures)} {what}(s) failed after retries: "
+                + ", ".join(report.label for report in self.failures),
+                failures=self.failures,
+            )
+        return list(self.results)
+
 
 def _call_unit(function: Callable[[T], R], index: int, attempt: int, item: T) -> R:
-    """Run one attempt of one unit, with fault-injection hooks around it.
+    """Run one supervised attempt of one unit, with fault-injection hooks.
 
     Top-level (not a closure) so process-pool workers can unpickle it.  The
     hooks are no-ops unless ``OSP_FAULT_PLAN`` is set — the chaos tests use
@@ -233,9 +285,10 @@ def _run_in_process(
 ) -> None:
     """Serial retry loop for ``pending`` ``(index, attempt)`` units.
 
-    Used for ``workers=1`` maps and as the degraded fallback after repeated
-    pool collapse.  No timeout is enforced — an in-process unit cannot be
-    preempted — but retries and quarantine behave exactly as in pool mode.
+    Used for supervised ``workers=1`` maps and as the degraded fallback
+    after repeated pool collapse.  No timeout is enforced — an in-process
+    unit cannot be preempted — but retries and quarantine behave exactly as
+    in pool mode.
     """
     for index, attempt in pending:
         state = states[index]
@@ -296,20 +349,26 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 def map_resilient(
     function: Callable[[T], R],
     items: Sequence[T],
-    workers: int = 1,
+    workers: "int | str" = 1,
     policy: Optional[RetryPolicy] = None,
     labels: Optional[Sequence[str]] = None,
 ) -> ResilientMapResult:
-    """Apply ``function`` to every item under supervision; never crash whole.
+    """Apply ``function`` to every item, returning results in item order.
 
-    The resilient sibling of
-    :func:`~repro.experiments.parallel.map_ordered`: results come back in
-    item order and are bit-identical to an unsupervised run — retries
-    recompute pure functions, and the deterministic backoff jitter never
-    touches a global RNG — but worker crashes, transient exceptions and
-    hung units are survived per the :class:`RetryPolicy` instead of
-    aborting the map.  Units that exhaust their attempts are quarantined
-    into :class:`FailureReport` records; everything else completes.
+    ``workers=1`` (or a single item) runs in-process — no pool, no
+    pickling; otherwise the items fan out over a process pool, so
+    ``function`` and the items must be picklable.  Either way
+    ``outcome.results`` is aligned with ``items`` and bit-identical to a
+    serial run.
+
+    ``policy=None`` is fail-fast: each unit runs once, and the first
+    failure re-raises its original exception (a crashed pool worker
+    surfaces as ``BrokenProcessPool``).  With a :class:`RetryPolicy`,
+    worker crashes, transient exceptions and hung units are survived per
+    the policy instead — retries recompute pure functions, and the
+    deterministic backoff jitter never touches a global RNG — and units
+    that exhaust their attempts are quarantined into
+    :class:`FailureReport` records while everything else completes.
 
     ``labels`` (optional, aligned with ``items``) names units in failure
     reports; it defaults to ``unit[i]``.
@@ -317,8 +376,13 @@ def map_resilient(
     >>> outcome = map_resilient(abs, [-2, 3], workers=1)
     >>> (outcome.results, outcome.ok, outcome.pool_rebuilds)
     ([2, 3], True, 0)
+    >>> map_resilient(int, ["1", "x"])
+    Traceback (most recent call last):
+    ...
+    ValueError: invalid literal for int() with base 10: 'x'
     """
-    policy = policy or RetryPolicy()
+    fail_fast = policy is None
+    policy = policy or _FAIL_FAST
     workers = resolve_workers(workers)
     items = list(items)
     if labels is None:
@@ -334,15 +398,18 @@ def map_resilient(
     states = {index: _UnitState(index) for index in range(len(items))}
 
     if workers == 1 or len(items) <= 1:
-        _run_in_process(
-            function,
-            items,
-            [(index, 1) for index in range(len(items))],
-            states,
-            labels,
-            policy,
-            outcome,
-        )
+        if fail_fast:
+            outcome.results = [function(item) for item in items]
+        else:
+            _run_in_process(
+                function,
+                items,
+                [(index, 1) for index in range(len(items))],
+                states,
+                labels,
+                policy,
+                outcome,
+            )
         return outcome
 
     pool_size = min(workers, len(items))
@@ -402,7 +469,12 @@ def map_resilient(
                     pending.rotate(-1)
                     continue
                 pending.popleft()
-                future = pool.submit(_call_unit, function, index, attempt, items[index])
+                if fail_fast:
+                    future = pool.submit(function, items[index])
+                else:
+                    future = pool.submit(
+                        _call_unit, function, index, attempt, items[index]
+                    )
                 deadline = (
                     now + policy.timeout if policy.timeout is not None else math.inf
                 )
@@ -430,11 +502,13 @@ def map_resilient(
                 try:
                     outcome.results[index] = future.result()
                     outstanding -= 1
-                except BrokenProcessPool as exc:
-                    pool_broken = True
-                    _charge(index, attempt, "worker-crash", repr(exc), now)
                 except Exception as exc:  # noqa: BLE001 — recorded + retried
-                    _charge(index, attempt, "exception", repr(exc), now)
+                    if fail_fast:
+                        raise
+                    crashed = isinstance(exc, BrokenProcessPool)
+                    pool_broken = pool_broken or crashed
+                    kind = "worker-crash" if crashed else "exception"
+                    _charge(index, attempt, kind, repr(exc), now)
 
             # Timeouts: a unit past its deadline is charged a failed attempt
             # and its (stuck) pool is recycled below.

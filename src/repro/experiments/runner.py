@@ -35,7 +35,8 @@ from repro.experiments.competitive_ratio import (
 from repro.exceptions import MeasurementFailedError
 from repro.experiments.opt_cache import default_opt_cache
 from repro.experiments.report import format_table
-from repro.experiments.resilience import RetryPolicy
+from repro.experiments.parallel import parse_workers
+from repro.experiments.resilience import RetryPolicy, policy_from_options
 from repro.experiments.store import (
     active_store,
     set_default_store_path,
@@ -281,7 +282,8 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--workers",
-        default="1",
+        type=parse_workers,
+        default=1,
         metavar="N|auto",
         help="worker processes for the simulation trials (default 1: "
         "in-process; 'auto' ≈ the CPU count); any value yields bit-identical "
@@ -393,20 +395,6 @@ def main(argv: List[str] = None) -> int:
             + list(arguments.fabric_shards)
         )
 
-    workers: Union[int, str] = arguments.workers
-    if workers != "auto":
-        try:
-            workers = int(workers)
-        except ValueError:
-            parser.error(f"--workers must be an integer or 'auto', got {workers!r}")
-
-    policy = None
-    if arguments.max_attempts is not None or arguments.unit_timeout is not None:
-        policy = RetryPolicy(
-            max_attempts=arguments.max_attempts or 3,
-            timeout=arguments.unit_timeout,
-        )
-
     if arguments.trace_scale is not None:
         if arguments.trace_scale < 1:
             parser.error("--trace-scale needs a positive packet count")
@@ -440,8 +428,10 @@ def main(argv: List[str] = None) -> int:
             seed=arguments.seed,
             trials=arguments.trials,
             engine=arguments.engine,
-            workers=workers,
-            policy=policy,
+            workers=arguments.workers,
+            policy=policy_from_options(
+                arguments.max_attempts, arguments.unit_timeout
+            ),
         )
     except MeasurementFailedError as error:
         # Machine-readable failure summary: which units died, how, per attempt.

@@ -50,7 +50,7 @@ store files, e.g. per-machine stores after a fleet run).
 The two module constants are part of the on-disk contract:
 
 >>> STORE_FORMAT_VERSION
-3
+4
 >>> STORE_ENV_VAR
 'OSP_STORE'
 """
@@ -98,8 +98,10 @@ __all__ = [
 #: (``engine="fast"`` results differ from exact-engine results, so the two
 #: may never share a row); 2 → 3 when the OPT, unit and battle keys gained
 #: the LP backend and LP-bound OPT estimates started carrying the greedy
-#: packing's weight as ``lower_bound`` instead of the local search's.
-STORE_FORMAT_VERSION = 3
+#: packing's weight as ``lower_bound`` instead of the local search's; 3 → 4
+#: when ``engine="fast"`` benefits started summing in set-index order (a
+#: fast row may move by an ulp).
+STORE_FORMAT_VERSION = 4
 
 #: Engines whose results are *statistically* equivalent to — but not
 #: bit-identical with — the exact engines.  These contribute an engine tag
@@ -1141,7 +1143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     >>> store.close()
     >>> main(["inspect", path])                  # doctest: +ELLIPSIS
     solution store ...demo.sqlite
-      format version: 3
+      format version: 4
       opt entries:    1
       unit entries:   0
       construction entries: 0

@@ -367,6 +367,22 @@ class TestCli:
         assert "frontier check passed" in out
         assert store_for_path(path).stats()["frontier_entries"] > 0
 
+    def test_cli_accepts_workers_auto(self, capsys):
+        from repro.battles.__main__ import main
+
+        code = main(["--smoke", "--max-rounds", "1", "--store", "off",
+                     "--check-golden", "off", "--workers", "auto"])
+        assert code == 0
+        assert "battle match" in capsys.readouterr().out
+
+    def test_cli_rejects_garbage_workers(self, capsys):
+        from repro.battles.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--smoke", "--workers", "lots"])
+        assert excinfo.value.code == 2
+        assert "'auto'" in capsys.readouterr().err
+
     def test_cli_exits_nonzero_on_regression(self, tmp_path, capsys, monkeypatch):
         from repro.battles import __main__ as cli
 

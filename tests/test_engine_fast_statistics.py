@@ -80,12 +80,31 @@ def test_fast_benefits_are_exact_weight_sums(instance, seed):
     weight sum of its completed sets, and therefore never negative."""
     result = simulate_fast(instance, "uniform-priority", trials=4, seed=seed)
     for trial in range(result.trials):
-        expected = sum(
-            instance.system.weight(set_id)
-            for set_id in result.completed_sets(trial)
-        )
+        # Sequential float64 sum in set-index order (the builtin ``sum`` is
+        # compensated on Python >= 3.12, so spell the loop out).
+        completed = result.completed_sets(trial)
+        expected = 0.0
+        for set_id in result.set_ids:
+            if set_id in completed:
+                expected += instance.system.weight(set_id)
         assert float(result.benefits[trial]) == float(expected)
         assert float(result.benefits[trial]) >= 0.0
+
+
+def test_fast_benefits_sum_in_set_index_order():
+    """On a 200-set batch — wide enough that a matmul's summation order moves
+    most benefits by an ulp — every benefit is the sequential set-index sum."""
+    instance = random_weighted_instance(
+        200, 400, (2, 5), random.Random(3), weight_range=(1.0, 6.0)
+    )
+    result = simulate_fast(instance, "randPr", trials=200, seed=3)
+    weights = [instance.system.weight(set_id) for set_id in result.set_ids]
+    for trial in range(result.trials):
+        expected = 0.0
+        for weight, completed in zip(weights, result.completed[trial].tolist()):
+            if completed:
+                expected += weight
+        assert float(result.benefits[trial]) == expected
 
 
 def test_fast_benefit_never_exceeds_offline_opt():

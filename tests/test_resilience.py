@@ -1,8 +1,9 @@
-"""Tests for the supervised process pool (``map_resilient``).
+"""Tests for the package's one executor (``map_resilient``).
 
 The contract: supervision is a *wall-clock* knob, never a numerics knob.
-``map_resilient`` must return exactly what ``map_ordered`` returns when
-nothing fails; under crashes, transient exceptions and timeouts it must
+``map_resilient`` must return exactly what a serial list comprehension
+returns when nothing fails; without a policy it is fail-fast (one attempt,
+the original exception, no fault hooks); under crashes, transient exceptions and timeouts it must
 still return the identical values for every unit that completes; and the
 retry schedule itself must be deterministic (stable-seed jitter, no global
 RNG, no wall-clock-derived seeds).
@@ -10,11 +11,7 @@ RNG, no wall-clock-derived seeds).
 
 import pytest
 
-from repro.experiments.parallel import (
-    map_ordered,
-    resolve_workers,
-    workers_from_env,
-)
+from repro.experiments.parallel import resolve_workers, workers_from_env
 from repro.experiments.resilience import (
     AttemptFailure,
     FailureReport,
@@ -97,16 +94,13 @@ class TestWorkersAuto:
         monkeypatch.setenv("OSP_BENCH_WORKERS", "3")
         assert workers_from_env() == 3
 
-    def test_map_ordered_accepts_auto(self):
-        assert map_ordered(_square, [1, 2, 3], workers="auto") == [1, 4, 9]
-
 
 class TestMapResilientFaultFree:
     @pytest.mark.parametrize("workers", (1, 2, "auto"))
     def test_matches_map_ordered(self, workers):
         items = list(range(7))
         outcome = map_resilient(_square, items, workers=workers)
-        assert outcome.results == map_ordered(_square, items)
+        assert outcome.results == [_square(item) for item in items]
         assert outcome.ok
         assert outcome.failures == []
         assert outcome.pool_rebuilds == 0
@@ -121,6 +115,68 @@ class TestMapResilientFaultFree:
     def test_labels_must_align(self):
         with pytest.raises(ValueError):
             map_resilient(_square, [1, 2], labels=["only-one"])
+
+
+class TestMapResilientFailFast:
+    """``policy=None``: one attempt, the original exception, no fault hooks."""
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_original_exception_propagates(self, workers):
+        with pytest.raises(ValueError, match=r"^boom\([12]\)$"):
+            map_resilient(_boom, [1, 2], workers=workers)
+
+    def test_in_process_runs_each_unit_once(self):
+        calls = []
+
+        def record(value):
+            calls.append(value)
+            if value == 2:
+                raise ValueError("second unit fails")
+            return value
+
+        assert map_resilient(record, [3, 1], workers=1).results == [3, 1]
+        assert calls == [3, 1]
+        calls.clear()
+        with pytest.raises(ValueError, match="second unit fails"):
+            map_resilient(record, [1, 2, 3], workers=1)
+        assert calls == [1, 2]
+
+    @pytest.mark.parametrize(
+        "action, workers", (("raise", 1), ("raise", 2), ("kill", 2))
+    )
+    def test_fault_plan_does_not_fire(self, action, workers):
+        faults.FaultPlan((faults.Fault(action=action, unit=0),)).install()
+        outcome = map_resilient(_square, [1, 2, 3], workers=workers)
+        assert outcome.results == [1, 4, 9]
+        assert outcome.ok
+        assert outcome.retries == 0
+
+    def test_fabric_work_stays_supervised(self, tmp_path):
+        from repro.experiments.fabric import SweepSpec, plan_manifest, work
+
+        spec = SweepSpec(
+            name="tiny",
+            num_sets=14,
+            element_counts=(30,),
+            set_size_range=(2, 3),
+            weight_range=(1.0, 5.0),
+            instances_per_point=1,
+            trials_per_instance=2,
+            seed=5,
+            algorithms=("greedy-weight",),
+        )
+        faults.FaultPlan((faults.Fault(action="raise", unit=0),)).install()
+        report = work(
+            plan_manifest(spec),
+            str(tmp_path / "shard.sqlite"),
+            coordination_path=str(tmp_path / "coord.sqlite"),
+            policy=None,
+        )
+        assert report.computed == 0
+        assert len(report.failures) == 1
+        attempts = report.failures[0].attempts
+        assert len(attempts) == RetryPolicy().max_attempts
+        assert all(entry.kind == "exception" for entry in attempts)
 
 
 class TestMapResilientRetries:

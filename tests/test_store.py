@@ -584,10 +584,11 @@ class TestFormatStabilityAcrossEngineRewrites:
         # composition gained the non-exact engine tag (``engine="fast"``
         # results enter the store under their own keys); 2 → 3 when the
         # OPT, unit and battle keys gained the LP backend and LP-bound OPT
-        # estimates started carrying the greedy packing as ``lower_bound``.
+        # estimates started carrying the greedy packing as ``lower_bound``;
+        # 3 → 4 when the fast engine's benefit sum moved to set-index order.
         from repro.experiments.store import STORE_FORMAT_VERSION
 
-        assert STORE_FORMAT_VERSION == 3
+        assert STORE_FORMAT_VERSION == 4
 
     def test_store_written_by_reference_engine_warms_bridge_engine(self, tmp_path):
         """Unit keys exclude the engine, and the engines agree bit for bit:
