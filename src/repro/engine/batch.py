@@ -149,69 +149,67 @@ class BatchResult:
 
 
 def _assign_top(sub: np.ndarray, capacity: int) -> np.ndarray:
-    """Boolean mask of the ``capacity`` smallest keys per row of ``sub``.
+    """Boolean mask of the ``capacity`` smallest keys along the last axis.
 
-    ``sub`` holds *ascending-is-better* keys.  A stable argsort breaks ties
-    by column index, which (columns being in ``repr`` order) is exactly the
-    reference algorithms' ``(-priority, repr(set_id))`` tie-break.
+    ``sub`` is ``(rows, steps, width)`` and holds *ascending-is-better*
+    keys.  ``argmin`` returns the first minimum and the argsort is stable,
+    so ties break by position, which (columns being in ``repr`` order) is
+    exactly the reference algorithms' ``(-priority, repr(set_id))``
+    tie-break.
     """
-    rows, width = sub.shape
-    assigned = np.zeros((rows, width), dtype=bool)
+    width = sub.shape[2]
     if capacity == 1:
-        # argmin returns the first minimum: the lowest column wins ties.
-        choice = np.argmin(sub, axis=1)
-        assigned[np.arange(rows), choice] = True
-    else:
-        order = np.argsort(sub, axis=1, kind="stable")
-        np.put_along_axis(assigned, order[:, :capacity], True, axis=1)
+        return np.argmin(sub, axis=2)[..., np.newaxis] == np.arange(width)
+    order = np.argsort(sub, axis=2, kind="stable")
+    assigned = np.zeros(sub.shape, dtype=bool)
+    np.put_along_axis(assigned, order[..., :capacity], True, axis=2)
     return assigned
 
 
-def _run_static(compiled: CompiledInstance, keys: np.ndarray) -> np.ndarray:
-    """Replay all trials of a static-priority algorithm; keys: lower wins.
+def _run_static(
+    compiled: CompiledInstance,
+    keys: np.ndarray,
+    key_column: np.ndarray,
+    completed: np.ndarray,
+    steps: "range | None" = None,
+) -> None:
+    """The static-priority replay kernel; keys: lower wins.
 
-    Returns the ``(rows, m)`` completed mask.  Static priorities make every
-    decision independent of the simulation state, and a set is completed
-    exactly when none of its elements is dropped, so the whole run reduces
-    to: find the dropped parents of every *contested* step (more parents
-    than capacity) and mark them dead.  Contested steps are grouped by
-    (width, capacity) so each group is one batched partial sort plus one
-    matmul scatter instead of a Python-level pass per step.
+    Static priorities make every decision independent of the simulation
+    state, and a set is completed exactly when it wins every *contested*
+    step (more parents than capacity), so the kernel clears the losers of
+    each contested step in ``steps`` (default: all) in the ``(rows, m)``
+    mask ``completed``.  Steps are grouped by (width, capacity), so each
+    group is one batched partial sort and one scatter.  Column ``j``'s keys
+    sit in column ``key_column[j]`` of ``keys``: the identity when a whole
+    instance is one window (batch, fast), the row pool's slots for each
+    window of the streaming engine.
     """
-    rows, m = keys.shape
     indptr = compiled.step_indptr
     parents = compiled.step_parents
     capacities = compiled.step_capacities
     groups: Dict[Tuple[int, int], list] = {}
-    for step in range(compiled.num_steps):
+    for step in range(compiled.num_steps) if steps is None else steps:
         columns = parents[indptr[step] : indptr[step + 1]]
         width = len(columns)
         capacity = int(capacities[step])
         if width > capacity:
             groups.setdefault((width, capacity), []).append(columns)
+    if not groups:
+        return
 
+    rows = completed.shape[0]
     contested_columns = []
     dropped_blocks = []
     for (width, capacity), column_lists in groups.items():
         stacked = np.stack(column_lists)  # (steps_in_group, width)
-        sub = keys[:, stacked]  # (rows, steps_in_group, width)
-        if capacity == 1:
-            choice = np.argmin(sub, axis=2)
-            assigned = choice[..., np.newaxis] == np.arange(width)
-        else:
-            order = np.argsort(sub, axis=2, kind="stable")
-            assigned = np.zeros(sub.shape, dtype=bool)
-            np.put_along_axis(assigned, order[..., :capacity], True, axis=2)
+        sub = keys[:, key_column[stacked]]  # (rows, steps_in_group, width)
         contested_columns.append(stacked.ravel())
-        dropped_blocks.append((~assigned).reshape(rows, -1))
-
-    completed = np.ones((rows, m), dtype=bool)
-    if contested_columns:
-        all_columns = np.concatenate(contested_columns)
-        all_dropped = np.concatenate(dropped_blocks, axis=1)  # (rows, nnz)
-        trial_index, incidence_index = np.nonzero(all_dropped)
-        completed[trial_index, all_columns[incidence_index]] = False
-    return completed
+        dropped_blocks.append((~_assign_top(sub, capacity)).reshape(rows, -1))
+    all_columns = np.concatenate(contested_columns)
+    all_dropped = np.concatenate(dropped_blocks, axis=1)  # (rows, nnz)
+    trial_index, incidence_index = np.nonzero(all_dropped)
+    completed[trial_index, all_columns[incidence_index]] = False
 
 
 def _sample_uses_pool(width: int, take: int) -> bool:
@@ -492,7 +490,7 @@ def _run_greedy(compiled: CompiledInstance, kind: str) -> np.ndarray:
             key = (
                 ((dead * 2 + fresh) * num_classes + classes) * size_range + rem
             ) * width + position
-        assigned = _assign_top(key, capacity)
+        assigned = _assign_top(key[:, np.newaxis], capacity)[:, 0]
         remaining[:, columns] -= assigned
         alive[:, columns] &= assigned
     return alive & (remaining == 0)
@@ -550,24 +548,35 @@ def simulate_batch(
         completed = _run_uniform_random(compiled, trials, seed)
     else:
         priorities = priority_matrix(spec, compiled, trials, seed)
+        completed = np.ones(priorities.shape, dtype=bool)
         # Negate so that "smallest key wins" with stable index tie-breaks.
-        completed = _run_static(compiled, -priorities)
-    # Sum the weights sequentially in column order — the exact float
-    # arithmetic of the reference engine's ``sum(...)`` over completed sets
-    # (``tolist`` yields Python floats; ``sum`` adds them left to right).
+        _run_static(compiled, -priorities, np.arange(compiled.num_sets), completed)
+    return _batch_result(spec, compiled, completed, trials, seed)
+
+
+def _batch_result(
+    spec: AlgorithmSpec,
+    compiled: CompiledInstance,
+    completed: np.ndarray,
+    trials: int,
+    seed: int,
+) -> BatchResult:
+    """The :class:`BatchResult` of a replayed ``(rows, m)`` completed mask.
+
+    A single row (a deterministic algorithm) stands for the whole batch.
+    Benefits are summed left to right in column order, the reference
+    engine's exact float arithmetic (``tolist`` yields Python floats).
+    """
     benefits = np.fromiter(
         (sum(compiled.weights[row].tolist()) for row in completed),
         dtype=np.float64,
         count=completed.shape[0],
     )
     counts = completed.sum(axis=1, dtype=np.int64)
-
     if completed.shape[0] == 1 and trials > 1:
-        # Deterministic algorithms: one replayed run stands for the batch.
         completed = np.repeat(completed, trials, axis=0)
         benefits = np.repeat(benefits, trials)
         counts = np.repeat(counts, trials)
-
     return BatchResult(
         algorithm_name=spec.name,
         instance_name=compiled.name,

@@ -251,13 +251,14 @@ def simulate_fast(
 
     fast = fast_compiled_for(instance)
     m = fast.num_sets
-    completed = np.empty((trials, m), dtype=bool)
+    completed = np.ones((trials, m), dtype=bool)
+    identity = np.arange(m)
     for start in range(0, trials, _FAST_TRIAL_BLOCK):
         stop = min(start + _FAST_TRIAL_BLOCK, trials)
         priorities = _fast_priorities(spec, fast, stop - start, seed, start)
         # Negate so that "smallest key wins" with stable column tie-breaks —
         # the same deterministic tie order as the exact engines.
-        completed[start:stop] = _run_static(fast, -priorities)
+        _run_static(fast, -priorities, identity, completed[start:stop])
     # Float64 accumulation against the float64 weights, so the per-trial
     # benefit (and hence every mean) is as accurate as the exact engine's,
     # even though the priorities were float32.  The running sum adds one set

@@ -19,25 +19,24 @@ CPython's Mersenne Twister in numpy:
   Python ints per trial), so the batch path goes further:
   :func:`state_matrix` re-implements CPython's ``init_by_array`` seeding
   *vectorized across the trials axis* — one numpy op per scalar mixing step,
-  operating on all trials at once — and :func:`uniform_matrix` then runs the
-  MT19937 twist + tempering + 53-bit pairing on the whole ``(trials, 624)``
-  state matrix.  The result is the exact ``(trials, draws)`` table of
-  ``random.Random(seed + b).random()`` values with no per-trial Python work.
+  operating on all trials at once — and one block producer runs the MT19937
+  twist and tempering on the whole ``(624, trials)`` state matrix, tempering
+  only the words a request takes, straight into the caller's array, and
+  pairing them into 53-bit doubles on request.
+* Every stream this module hands out is a thin view over that producer:
+  :func:`uniform_matrix` adds the per-process LRU of whole ``(trials,
+  draws)`` ``random()`` tables (shared by all algorithm kinds of a sweep),
+  :class:`UniformStreams` hands the same values out in chunks,
+  :func:`word_matrix` and :class:`WordStreams` expose the raw 32-bit words
+  (the latter with per-trial read positions, for the ragged ``getrandbits``
+  consumption of uniform-random's per-arrival ``sample`` calls), and
+  :func:`getrandbits64` reads each trial's first word pair.
 * :func:`exact_pow` applies the inverse-CDF transform ``u ** (1/w)`` with the
   same C-library ``pow`` the reference algorithms call.  numpy's vectorized
   ``**`` uses a SIMD polynomial that is *not* bit-identical to libm ``pow``
   (off by one ulp on a few percent of inputs on this stack), so the transform
   deliberately stays on scalar ``math.pow`` per element — exactness beats
   vectorization here, and the draws dominate the old cost anyway.
-* Algorithms that consume the RNG *during* the arrival loop (uniform-random's
-  per-arrival ``sample`` calls) cannot use a precomputed draw table, but their
-  draws still bottom out in ``getrandbits`` — one raw 32-bit word per call.
-  :func:`word_matrix` exposes the underlying ``(trials, words)`` table of raw
-  tempered outputs, and :class:`WordStreams` layers a batched
-  ``getrandbits(bits)`` replay on top of it: every trial owns an independent
-  read position, a draw advances only the trials named by a mask (so the
-  ragged ``_randbelow`` retry loops consume the right number of words per
-  trial), and the word table grows past twist boundaries on demand.
 
 ``docs/INTERNALS-rng.md`` documents the trick, why ``getstate`` →
 ``set_state`` is exact, and the draw-order contract a new vectorizable
@@ -281,28 +280,75 @@ def _temper(words: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarr
     return out
 
 
-def _word_matrix_T(seeds: Sequence[int], num_words: int) -> np.ndarray:
-    """``(num_words, batch)`` tempered outputs of each seed's generator.
+class _Generators:
+    """The one MT19937 block producer: ``random.Random(seed + b)`` per trial ``b``.
 
-    Column ``t`` holds the first ``num_words`` values ``genrand_uint32`` would
-    return for ``random.Random(seeds[t])`` — the raw 32-bit stream underneath
-    ``random()``, ``getrandbits`` and friends.  Tempering is applied only to
-    the words actually requested; the untempered remainder of each twist
-    block never leaves this function.
+    Every view in this module reads its stream from here.  The generators
+    advance in lockstep: the ``(MT_N, trials)`` state matrix is seeded once,
+    on first use, and twisted a block at a time; each request tempers only
+    the words it hands out, straight into the caller's array, so the rest
+    of a block waits untempered in the state matrix and nothing is buffered.
     """
-    if num_words <= 0 or not seeds:
-        return np.empty((max(num_words, 0), len(seeds)), dtype=np.uint32)
-    mt = _state_matrix_T(seeds)
-    scratch_a = np.empty((MT_N, len(seeds)), dtype=np.uint32)
-    scratch_b = np.empty((MT_N - 1, len(seeds)), dtype=np.uint32)
-    out = np.empty((num_words, len(seeds)), dtype=np.uint32)
-    produced = 0
-    while produced < num_words:
-        _twist(mt, scratch_a[: MT_N - 1], scratch_b)
-        take = min(MT_N, num_words - produced)
-        _temper(mt[:take], out[produced : produced + take], scratch_a)
-        produced += take
-    return out
+
+    def __init__(self, seed: int, trials: int) -> None:
+        _require_non_negative(trials=trials)
+        self.trials = trials
+        self._seed = seed
+        self._mt: "np.ndarray | None" = None
+        # Words of the current block already handed out; MT_N: twist first.
+        self._position = MT_N
+
+    def _block_start(self) -> int:
+        """The read position in the current block, twisting a fresh one if spent."""
+        if self._mt is None:
+            self._mt = _state_matrix_T([self._seed + b for b in range(self.trials)])
+            self._scratch_a = np.empty((MT_N, self.trials), dtype=np.uint32)
+            self._scratch_b = np.empty((MT_N, self.trials), dtype=np.uint32)
+        if self._position == MT_N:
+            _twist(self._mt, self._scratch_a[: MT_N - 1], self._scratch_b[: MT_N - 1])
+            self._position = 0
+        return self._position
+
+    def words(self, out: np.ndarray) -> None:
+        """Write every trial's next ``len(out)`` tempered words into ``out``."""
+        done = 0
+        while done < len(out):
+            start = self._block_start()
+            take = min(MT_N - start, len(out) - done)
+            _temper(
+                self._mt[start : start + take], out[done : done + take], self._scratch_a
+            )
+            self._position = start + take
+            done += take
+
+    def uniforms(self, out: np.ndarray) -> None:
+        """Write every trial's next ``len(out)`` ``random()`` values into ``out``.
+
+        CPython's ``genrand_res53``, ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``
+        over consecutive words: every step is exact in float64, so it is
+        bit-equal to CPython's regardless of FMA contraction.  A producer
+        read only through this method stays at even positions, so no pair
+        straddles a twist.
+        """
+        done = 0
+        while done < len(out):
+            pairs = min((MT_N - self._block_start()) // 2, len(out) - done)
+            words = self._scratch_b[: 2 * pairs]
+            self.words(words)
+            high = out[done : done + pairs]
+            low = self._scratch_a[:pairs]
+            np.right_shift(words[0::2], 5, out=low)
+            np.multiply(low, 67108864.0, out=high)
+            np.right_shift(words[1::2], 6, out=low)
+            np.add(high, low, out=high)
+            np.multiply(high, 1.0 / 9007199254740992.0, out=high)
+            done += pairs
+
+
+def _require_non_negative(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 def word_matrix(seed: int, trials: int, words: int) -> np.ndarray:
@@ -321,25 +367,26 @@ def word_matrix(seed: int, trials: int, words: int) -> np.ndarray:
     >>> [reference.getrandbits(32) for _ in range(4)] == list(table[1])
     True
     """
-    if trials < 0 or words < 0:
-        raise ValueError(f"trials and words must be non-negative, got {trials}, {words}")
-    produced = _word_matrix_T([seed + b for b in range(trials)], words)
-    return np.ascontiguousarray(produced.T)
+    _require_non_negative(words=words)
+    producer = _Generators(seed, trials)
+    out = np.empty((trials, words), dtype=np.uint32, order="F")
+    producer.words(out.T)
+    return out
 
 
 class WordStreams:
     """Per-trial raw MT19937 word streams with independently advancing positions.
 
     Stream ``b`` replays the tempered 32-bit outputs of
-    ``random.Random(seed + b)`` (the batch engine's trial seeding), produced
-    by the same vectorized seeding/twist/temper pipeline as
-    :func:`uniform_matrix` and grown past twist boundaries on demand.  On top
-    of the raw words, :meth:`getrandbits` is a *batched* replay of CPython's
-    ``getrandbits(bits)`` for ``bits <= 32`` — one word consumed per call per
-    selected trial — and the ``mask`` parameter is what makes data-dependent
-    consumption replayable: a ``_randbelow`` retry loop advances only the
-    trials that actually redraw, so per-trial positions stay in lockstep with
-    the reference streams even when consumption is ragged across the batch.
+    ``random.Random(seed + b)`` (the batch engine's trial seeding), read from
+    the module's one block producer and grown past twist boundaries on
+    demand.  On top of the raw words, :meth:`getrandbits` is a *batched*
+    replay of CPython's ``getrandbits(bits)`` for ``bits <= 32`` — one word
+    consumed per call per selected trial — and the ``mask`` parameter is
+    what makes data-dependent consumption replayable: a ``_randbelow`` retry
+    loop advances only the trials that actually redraw, so per-trial
+    positions stay in lockstep with the reference streams even when
+    consumption is ragged across the batch.
 
     >>> import random
     >>> streams = WordStreams(seed=3, trials=2)
@@ -353,10 +400,8 @@ class WordStreams:
     """
 
     def __init__(self, seed: int, trials: int) -> None:
-        if trials < 0:
-            raise ValueError(f"trials must be non-negative, got {trials}")
+        self._producer = _Generators(seed, trials)
         self.trials = trials
-        self._mt = _state_matrix_T([seed + b for b in range(trials)])
         #: The number of words each trial has consumed so far (read-only to
         #: callers; advanced by :meth:`getrandbits`).
         self.positions = np.zeros(trials, dtype=np.int64)
@@ -367,8 +412,6 @@ class WordStreams:
         # sequences never accumulate the whole history.
         self._base = 0
         self._words = np.empty((0, trials), dtype=np.uint32)
-        self._scratch_a = np.empty((MT_N, trials), dtype=np.uint32)
-        self._scratch_b = np.empty((MT_N - 1, trials), dtype=np.uint32)
 
     @property
     def words_produced(self) -> int:
@@ -376,21 +419,20 @@ class WordStreams:
         return self._base + self._words.shape[0]
 
     def _ensure(self, words: int) -> None:
-        if words - self._base <= self._words.shape[0]:
+        missing = words - self.words_produced
+        if missing <= 0:
             return
         # Slide the window: rows below every trial's position can never be
         # read again.  Discarding in at-least-block-sized steps keeps the
         # copy amortized against the twist work that produced the rows.
-        floor = int(self.positions.min()) if self.trials else 0
-        drop = floor - self._base
-        if drop >= MT_N:
-            self._words = self._words[drop:].copy()
-            self._base += drop
-        while self._base + self._words.shape[0] < words:
-            _twist(self._mt, self._scratch_a[: MT_N - 1], self._scratch_b)
-            block = np.empty((MT_N, self.trials), dtype=np.uint32)
-            _temper(self._mt, block, self._scratch_a)
-            self._words = np.concatenate([self._words, block], axis=0)
+        drop = (int(self.positions.min()) if self.trials else 0) - self._base
+        kept = self._words[drop:] if drop >= MT_N else self._words
+        grow = -(-missing // MT_N) * MT_N
+        window = np.empty((len(kept) + grow, self.trials), dtype=np.uint32)
+        window[: len(kept)] = kept
+        self._producer.words(window[len(kept) :])
+        self._base += self._words.shape[0] - len(kept)
+        self._words = window
 
     def getrandbits(self, bits: int, mask: "np.ndarray | None" = None) -> np.ndarray:
         """The next ``getrandbits(bits)`` value of each selected trial.
@@ -420,16 +462,16 @@ class UniformStreams:
     """Sequential per-trial ``random()`` streams, delivered in bounded chunks.
 
     Stream ``b`` replays the ``random()`` values of ``random.Random(seed + b)``
-    (the batch engine's trial seeding) through the same vectorized
-    seeding/twist/temper pipeline as :func:`uniform_matrix` — but instead of
-    materializing the whole ``(trials, draws)`` table up front, :meth:`next`
-    hands out consecutive ``(trials, count)`` chunks on demand.  All trials
-    advance in lockstep, so the resident state is one ``(MT_N, trials)``
-    generator matrix plus at most one partially consumed twist block — memory
-    is bounded by the *chunk* size, never by how many draws the consumer
-    eventually takes.  This is what lets the streaming trace engine draw
-    priorities for frames as they enter the active window instead of holding
-    a draw table proportional to the whole trace.
+    (the batch engine's trial seeding) from the module's one block producer
+    — but instead of materializing the whole ``(trials, draws)`` table up
+    front like :func:`uniform_matrix`, :meth:`next` hands out consecutive
+    ``(trials, count)`` chunks on demand.  All trials advance in lockstep, so
+    the resident state is the producer's ``(MT_N, trials)`` generator matrix
+    and its scratch — memory is bounded by the *chunk* size, never by how
+    many draws the consumer eventually takes.  This is what lets the
+    streaming trace engine draw priorities for frames as they enter the
+    active window instead of holding a draw table proportional to the whole
+    trace.
 
     Chunk boundaries are invisible: concatenating the chunks reproduces
     :func:`uniform_matrix` bit for bit.
@@ -445,52 +487,24 @@ class UniformStreams:
     """
 
     def __init__(self, seed: int, trials: int) -> None:
-        if trials < 0:
-            raise ValueError(f"trials must be non-negative, got {trials}")
+        self._producer = _Generators(seed, trials)
         self.trials = trials
-        self._mt = _state_matrix_T([seed + b for b in range(trials)])
-        self._scratch_a = np.empty((MT_N, trials), dtype=np.uint32)
-        self._scratch_b = np.empty((MT_N - 1, trials), dtype=np.uint32)
-        # Tempered words produced by the last twist but not yet paired into
-        # doubles (at most MT_N - 1 rows — the only carried-over state).
-        self._pending = np.empty((0, trials), dtype=np.uint32)
         #: How many ``random()`` values per trial have been handed out.
         self.draws_produced = 0
 
     def next(self, count: int) -> np.ndarray:
         """The next ``count`` ``random()`` values of every trial.
 
-        Returns a writable ``(trials, count)`` float64 array; entry ``[b, k]``
-        is bit-equal to the ``draws_produced + k``-th ``random()`` call of
+        Returns a writable ``(trials, count)`` float64 array (F-ordered: the
+        producer writes it draw-major with no copy); entry ``[b, k]`` is
+        bit-equal to the ``draws_produced + k``-th ``random()`` call of
         ``random.Random(seed + b)``.
         """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        needed = 2 * count
-        blocks = [self._pending]
-        have = self._pending.shape[0]
-        while have < needed:
-            _twist(self._mt, self._scratch_a[: MT_N - 1], self._scratch_b)
-            block = np.empty((MT_N, self.trials), dtype=np.uint32)
-            _temper(self._mt, block, self._scratch_a)
-            blocks.append(block)
-            have += MT_N
-        words = np.concatenate(blocks, axis=0) if len(blocks) > 1 else self._pending
-        # Copy the remainder (< MT_N rows) so the chunk-sized concatenation
-        # above is freed as soon as the chunk is paired.
-        self._pending = words[needed:].copy()
-        words = words[:needed]
-        # genrand_res53 (same arithmetic as uniform_matrix): every step is
-        # exact in float64, so the pairing is bit-equal to CPython's.
-        out = np.empty((count, self.trials), dtype=np.float64)
-        scratch = np.empty((count, self.trials), dtype=np.uint32)
-        np.right_shift(words[0::2], 5, out=scratch)
-        np.multiply(scratch, 67108864.0, out=out)
-        np.right_shift(words[1::2], 6, out=scratch)
-        np.add(out, scratch, out=out)
-        np.multiply(out, 1.0 / 9007199254740992.0, out=out)
+        _require_non_negative(count=count)
+        out = np.empty((self.trials, count), dtype=np.float64, order="F")
+        self._producer.uniforms(out.T)
         self.draws_produced += count
-        return out.T
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -550,8 +564,7 @@ def uniform_matrix(seed: int, trials: int, draws: int) -> np.ndarray:
     >>> [reference.random() for _ in range(5)] == list(table[1])
     True
     """
-    if trials < 0 or draws < 0:
-        raise ValueError(f"trials and draws must be non-negative, got {trials}, {draws}")
+    _require_non_negative(trials=trials, draws=draws)
     global _uniform_cache_hits, _uniform_cache_misses
     key = (int(seed), int(trials), int(draws))
     cached = _UNIFORM_CACHE.get(key)
@@ -561,27 +574,13 @@ def uniform_matrix(seed: int, trials: int, draws: int) -> np.ndarray:
         return cached
     _uniform_cache_misses += 1
 
-    # Fortran order: the generator pipeline is (draws, trials)-major, so an
-    # F-ordered table makes every transpose below a zero-copy view.  Callers
+    # Fortran order: the producer writes (draws, trials)-major, so an
+    # F-ordered table takes its output with no transposing copy.  Callers
     # only ever index and compare, which is layout-agnostic.
     out = np.empty((trials, draws), dtype=np.float64, order="F")
-    word_scratch = None
     for start in range(0, trials, _TRIAL_BLOCK):
         stop = min(start + _TRIAL_BLOCK, trials)
-        block_seeds = [seed + b for b in range(start, stop)]
-        words = _word_matrix_T(block_seeds, 2 * draws)
-        # genrand_res53: a = next() >> 5 (27 bits), b = next() >> 6 (26 bits),
-        # value = (a * 2**26 + b) / 2**53.  Every step is exact in float64
-        # (the integers stay below 2**53 and the scale is a power of two), so
-        # the result is bit-equal to CPython's regardless of FMA contraction.
-        if word_scratch is None or word_scratch.shape != (draws, stop - start):
-            word_scratch = np.empty((draws, stop - start), dtype=np.uint32)
-        high = out[start:stop].T  # (draws, block) view, C-contiguous
-        np.right_shift(words[0::2], 5, out=word_scratch)
-        np.multiply(word_scratch, 67108864.0, out=high)
-        np.right_shift(words[1::2], 6, out=word_scratch)
-        np.add(high, word_scratch, out=high)
-        np.multiply(high, 1.0 / 9007199254740992.0, out=high)
+        _Generators(seed + start, stop - start).uniforms(out[start:stop].T)
     out.setflags(write=False)
     if trials and draws and out.nbytes <= _UNIFORM_CACHE_MAX_BYTES:
         _UNIFORM_CACHE[key] = out
@@ -603,11 +602,10 @@ def getrandbits64(seed: int, trials: int) -> List[int]:
     ...                                for b in range(2)]
     True
     """
-    if trials <= 0:
-        return []
-    words = _word_matrix_T([seed + b for b in range(trials)], 2)
-    low = words[0].astype(np.uint64)
-    high = words[1].astype(np.uint64)
+    producer = _Generators(seed, trials)
+    words = np.empty((2, trials), dtype=np.uint32)
+    producer.words(words)
+    low, high = words.astype(np.uint64)
     return [int(value) for value in low | (high << np.uint64(32))]
 
 

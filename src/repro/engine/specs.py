@@ -16,7 +16,10 @@ supported:
   through the :mod:`repro.engine.rng` bridge (a vectorized numpy replay of
   CPython's Mersenne Twister; see ``docs/INTERNALS-rng.md`` for the
   state-transplant trick and the *draw-order contract* a kind must satisfy
-  to be vectorizable this way).
+  to be vectorizable this way).  One per-kind builder, over a column range,
+  turns draws into priority rows for both the batch engine
+  (:func:`priority_matrix`, every column at once) and the streaming trace
+  engine (one column range per time window).
 * **greedy** algorithms (``greedy-weight``, ``greedy-progress``,
   ``greedy-committed``): the priority of a set depends on its alive/progress
   state, so the engine recomputes an integer sort key per arrival from the
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterable, List, Optional, Set, Union
 
 import numpy as np
 
@@ -305,12 +308,11 @@ def priority_matrix(
     uses the stream of ``random.Random(seed + b)`` and draws per set in
     column (``repr``) order, which is precisely what ``simulate_many`` +
     ``RandPrAlgorithm.start`` do.  The draws themselves come from the
-    :mod:`repro.engine.rng` bridge — a vectorized, bit-exact numpy replay of
-    CPython's Mersenne Twister — and the ``R_w`` inverse-CDF transform goes
-    through :func:`~repro.engine.rng.exact_pow` (the same C-library ``pow``
-    the scalar helpers call), so the values are bit-identical, not merely
-    statistically equivalent.  ``docs/INTERNALS-rng.md`` documents the
-    replay and the draw-order contract a new vectorizable kind must satisfy.
+    :mod:`repro.engine.rng` bridge's cached table, and the ``R_w`` transform
+    goes through :func:`~repro.engine.rng.exact_pow` (the same C-library
+    ``pow`` the scalar helpers call), so the values are bit-identical, not
+    merely statistically equivalent.  ``docs/INTERNALS-rng.md`` documents
+    the replay and the draw-order contract a new vectorizable kind must satisfy.
 
     >>> from repro.core import OnlineInstance, SetSystem
     >>> from repro.engine.compile import compile_instance
@@ -322,73 +324,127 @@ def priority_matrix(
     >>> priority_matrix(AlgorithmSpec("first-listed"), compiled, trials=3, seed=0)
     array([[-0., -1.]])
     """
-    m = compiled.num_sets
-    # Python floats, so the arithmetic inside the scalar helpers is the very
-    # same arithmetic the reference algorithms perform.
-    clamped = [float(value) for value in compiled.clamped_weights]
-
-    if spec.kind == "randPr":
-        # One vectorized draw table + the exact inverse-CDF transform.  The
-        # reference draw for column j of trial b is the j-th
-        # ``random.Random(seed + b).random()`` value raised to 1/w_j —
-        # uniform_matrix replays the former bit for bit and exact_pow applies
-        # the very libm ``pow`` the reference ``**`` calls.  sample_priority
-        # additionally *redraws* a 0.0 uniform; a zero draw (probability
-        # ~2^-53 per entry) desynchronizes that trial's stream from the
-        # precomputed row, so such trials are replayed through the scalar
-        # helper instead.
-        uniforms = rng_bridge.uniform_matrix(seed, trials, m)
-        matrix = rng_bridge.exact_pow(uniforms, compiled.priority_exponents)
-        zero_rows = np.flatnonzero((uniforms == 0.0).any(axis=1))
-        for trial in zero_rows.tolist():
-            replay = random.Random(seed + trial)
-            matrix[trial] = [sample_priority(weight, replay) for weight in clamped]
-        return matrix
-
-    if spec.kind == "uniform-priority":
-        # The draw table *is* the priority matrix (randPr with R_1 applies
-        # no transform at all).  Copy: the cached bridge table is read-only.
-        return rng_bridge.uniform_matrix(seed, trials, m).copy()
-
-    if spec.kind == "randPr-hashed":
-        if spec.salt is not None:
-            row = [
-                hash_priority(set_id, weight, salt=spec.salt)
-                for set_id, weight in zip(compiled.set_ids, clamped)
-            ]
-            return np.asarray(row, dtype=np.float64).reshape(1, m)
-        # Fresh salt per trial, replayed through the bridge
-        # (``getrandbits(64)`` is the first generator pair); the per-set
-        # SHA-256 evaluations dominate and have no vectorized form, so the
-        # hash loop stays scalar while the inverse-CDF transform shares
-        # exact_pow with the randPr path.
-        salts = rng_bridge.getrandbits64(seed, trials)
-        uniforms = np.empty((trials, m), dtype=np.float64)
-        for trial, salt_value in enumerate(salts):
-            salt = f"salt-{salt_value:016x}"
-            uniforms[trial] = [
-                hash_unit_interval(set_id, salt=salt) for set_id in compiled.set_ids
-            ]
-        # hash_priority nudges an exactly-zero hash away from the origin.
-        np.copyto(uniforms, 2.0 ** -64, where=(uniforms == 0.0))
-        return rng_bridge.exact_pow(uniforms, compiled.priority_exponents)
-
-    if spec.kind == "static-order":
-        salt = spec.salt if spec.salt is not None else "static-order"
-        row = [hash_unit_interval(set_id, salt=salt) for set_id in compiled.set_ids]
-        return np.asarray(row, dtype=np.float64).reshape(1, m)
-
-    if spec.kind == "first-listed":
-        # Parents arrive in column order; preferring low columns reproduces
-        # "take the first b(u) parents as announced".
-        return (-np.arange(m, dtype=np.float64)).reshape(1, m)
-
-    if spec.kind == "largest-set-first":
-        return compiled.sizes.astype(np.float64).reshape(1, m)
-
-    if spec.kind == "smallest-set-first":
-        return (-compiled.sizes.astype(np.float64)).reshape(1, m)
-
-    raise UnsupportedAlgorithmError(
-        f"kind {spec.kind!r} has no static priority matrix"
+    build = _PriorityColumns(
+        spec,
+        compiled,
+        trials,
+        seed,
+        lambda count: rng_bridge.uniform_matrix(seed, trials, count),
     )
+    matrix = build(0, compiled.num_sets)
+    for trial in sorted(build.zero_trials):
+        matrix[trial] = build.redraw(trial)
+    return matrix
+
+
+class _PriorityColumns:
+    """The one per-kind priority builder of the static kinds, over column ranges.
+
+    ``build(start, stop)`` returns the priorities of columns ``start`` to
+    ``stop - 1``: ``(rows, count)`` for randomized kinds, ``(1, count)`` for
+    deterministic ones.  Ranges come in ascending, gap-free order, since
+    draws are consumed in column (``repr``) order.  ``uniforms(count)``
+    returns every trial's next ``count`` ``random()`` values: the batch
+    engine reads the cached table (one range, every column), the streaming
+    engine reads :class:`~repro.engine.rng.UniformStreams` (one range per
+    window).  ``sample_priority`` *redraws* a 0.0 uniform, which
+    desynchronizes that trial's stream from the vectorized draws: such
+    ``randPr`` trials land in :attr:`zero_trials` for a scalar :meth:`redraw`.
+    """
+
+    def __init__(
+        self,
+        spec: AlgorithmSpec,
+        compiled: CompiledInstance,
+        rows: int,
+        seed: int,
+        uniforms: Callable[[int], np.ndarray],
+    ) -> None:
+        self._spec = spec
+        self._compiled = compiled
+        self._seed = seed
+        self._uniforms = uniforms
+        if spec.kind == "randPr-hashed" and spec.salt is None:
+            # A fresh salt per trial, replayed through the bridge:
+            # ``getrandbits(64)`` is each trial's first generator pair.
+            self._salts = [
+                f"salt-{value:016x}" for value in rng_bridge.getrandbits64(seed, rows)
+            ]
+        #: ``randPr`` trials whose draws hit an exact 0.0.
+        self.zero_trials: Set[int] = set()
+
+    def __call__(self, start: int, stop: int) -> np.ndarray:
+        compiled = self._compiled
+        spec = self._spec
+        set_ids = compiled.set_ids[start:stop]
+        exponents = compiled.priority_exponents[start:stop]
+
+        if spec.kind == "randPr":
+            # The reference draw for column j of trial b is the j-th
+            # ``random.Random(seed + b).random()`` value raised to 1/w_j;
+            # exact_pow applies the very libm ``pow`` the reference ``**``
+            # calls.
+            uniforms = self._uniforms(stop - start)
+            zero_rows = np.flatnonzero((uniforms == 0.0).any(axis=1))
+            self.zero_trials.update(zero_rows.tolist())
+            return rng_bridge.exact_pow(uniforms, exponents)
+
+        if spec.kind == "uniform-priority":
+            # The draws *are* the priorities (randPr with R_1 applies no
+            # transform at all).  Copy: the cached bridge table is read-only.
+            return self._uniforms(stop - start).copy()
+
+        if spec.kind == "randPr-hashed":
+            if spec.salt is not None:
+                # Python floats, so the arithmetic inside the scalar helper
+                # is the very same arithmetic the reference performs.
+                clamped = compiled.clamped_weights[start:stop].tolist()
+                return _row(
+                    hash_priority(set_id, weight, salt=spec.salt)
+                    for set_id, weight in zip(set_ids, clamped)
+                )
+            # The per-set SHA-256 evaluations have no vectorized form, so the
+            # hash loop stays scalar while the inverse-CDF transform shares
+            # exact_pow with the randPr path.
+            hashed = np.array(
+                [
+                    [hash_unit_interval(set_id, salt=salt) for set_id in set_ids]
+                    for salt in self._salts
+                ],
+                dtype=np.float64,
+            ).reshape(len(self._salts), len(set_ids))
+            # hash_priority nudges an exactly-zero hash away from the origin.
+            np.copyto(hashed, 2.0 ** -64, where=(hashed == 0.0))
+            return rng_bridge.exact_pow(hashed, exponents)
+
+        if spec.kind == "static-order":
+            salt = spec.salt if spec.salt is not None else "static-order"
+            return _row(hash_unit_interval(set_id, salt=salt) for set_id in set_ids)
+
+        if spec.kind == "first-listed":
+            # Parents arrive in column order; preferring low columns
+            # reproduces "take the first b(u) parents as announced".
+            return (-np.arange(start, stop, dtype=np.float64)).reshape(1, -1)
+
+        if spec.kind == "largest-set-first":
+            return compiled.sizes[start:stop].astype(np.float64).reshape(1, -1)
+
+        if spec.kind == "smallest-set-first":
+            return (-compiled.sizes[start:stop].astype(np.float64)).reshape(1, -1)
+
+        raise UnsupportedAlgorithmError(
+            f"kind {spec.kind!r} has no static priority matrix"
+        )
+
+    def redraw(self, trial: int) -> List[float]:
+        """One ``randPr`` trial's whole priority row, drawn by the scalar helper."""
+        replay = random.Random(self._seed + trial)
+        return [
+            sample_priority(weight, replay)
+            for weight in self._compiled.clamped_weights.tolist()
+        ]
+
+
+def _row(values: Iterable[float]) -> np.ndarray:
+    """One deterministic priority row, shaped ``(1, count)``."""
+    return np.fromiter(values, dtype=np.float64).reshape(1, -1)

@@ -313,6 +313,13 @@ def test_getrandbits64_matches_reference():
     assert rng_bridge.getrandbits64(0, trials=0) == []
 
 
+def test_getrandbits64_rejects_negative_trials():
+    """Like every other view of the bridge, a negative trial count raises
+    instead of silently returning an empty list."""
+    with pytest.raises(ValueError):
+        rng_bridge.getrandbits64(0, trials=-1)
+
+
 # ----------------------------------------------------------------------
 # exact_pow: bit-equality with the scalar reference transform
 # ----------------------------------------------------------------------

@@ -250,6 +250,44 @@ def test_zero_uniform_falls_back_to_the_scalar_replay(monkeypatch):
     assert float(batch.benefits[1]) == reference[1].benefit
 
 
+@pytest.mark.parametrize("window", [1, 7, None])
+def test_zero_uniform_in_a_later_window_replays_through_the_shared_kernel(
+    monkeypatch, window
+):
+    """Exact 0.0 uniforms in *later* windows' draws, not the first: the
+    trial's stream diverged mid-trace, so it is replayed whole through the shared
+    static kernel on a one-row key matrix — and the result must still equal
+    the reference bit for bit, for every trial, at every window size."""
+    real_streams = rng_bridge.UniformStreams
+    draws = []
+
+    class ZeroedLater(real_streams):
+        def next(self, count):
+            block = super().next(count)
+            if block.shape[0] > 1 and count:
+                draws.append(count)
+                if len(draws) >= 2:
+                    block[1] = 0.0  # every later draw of trial 1
+            return block
+
+    monkeypatch.setattr(rng_bridge, "UniformStreams", ZeroedLater)
+    # 1079 slots: two windows even at the default window width.
+    trace = AdversarialBurstGenerator(
+        burst_size=3, packets_per_frame=2, gap_slots=1, id_pad=4
+    ).generate(num_waves=360)
+    batch = simulate_trace_batch(
+        trace, RandPrAlgorithm(), trials=4, seed=SEED, window_slots=window
+    )
+    assert len(draws) >= 2, "the probe never reached a later window's draw"
+    monkeypatch.setattr(rng_bridge, "UniformStreams", real_streams)
+    reference = simulate_many(
+        trace.to_instance(), RandPrAlgorithm(), trials=4, seed=SEED
+    )
+    for trial, run in enumerate(reference):
+        assert batch.completed_sets(trial) == run.completed_sets
+        assert float(batch.benefits[trial]) == run.benefit
+
+
 @st.composite
 def hand_traces(draw):
     """Randomly-shaped small traces: arbitrary overlap, gaps, duplicate
